@@ -14,7 +14,6 @@ from .bracket import (
 from .cocyclic import (
     SK1Report,
     cocyclic_subgroups,
-    cocyclic_vector,
     sk1_invariants,
     sk1_sylow_check,
 )
@@ -29,6 +28,7 @@ from .groups import (
     CapExceededError,
     Group,
     GroupSpecError,
+    InternalInvariantError,
     RationalResidue,
     all_abelian_groups,
     cyclic_subgroups,
@@ -52,11 +52,12 @@ __all__ = [
     "divisors", "factorize", "is_prime", "vp",
     "GradedPresentation", "Target", "graded_presentation", "hom_invariants",
     "project_element", "sylow_decomposition_invariants",
-    "SK1Report", "cocyclic_subgroups", "cocyclic_vector", "sk1_invariants",
+    "SK1Report", "cocyclic_subgroups", "sk1_invariants",
     "sk1_sylow_check",
     "FunctionTable", "from_coordinates", "from_generator_values",
     "is_homogeneous", "to_coordinates",
-    "CapExceededError", "Group", "GroupSpecError", "RationalResidue",
+    "CapExceededError", "Group", "GroupSpecError", "InternalInvariantError",
+    "RationalResidue",
     "all_abelian_groups", "cyclic_subgroups", "element_order",
     "parse_group_spec", "sylow_decompose",
     "OraclePolicy", "higher_order", "higher_order_oracle", "vp_factorial",

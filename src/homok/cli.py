@@ -5,8 +5,8 @@ scalar function groups, the cocyclic lattice and its quotient, transfer
 jobs, the verification suites, and CSV tables over prime families.
 
 Exit codes: 0 on success, 1 on computation failures (cap exceeded, a
-refused transfer job, a failing suite), 2 on usage errors (bad flags,
-malformed group specs or job files).
+refused transfer job, a failing suite, a broken internal check), 2 on
+usage errors (bad flags, malformed group specs or job files).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .groups import (
     CapExceededError,
     Group,
     GroupSpecError,
+    InternalInvariantError,
     RationalResidue,
     cyclic_subgroups,
     invariant_factors_from_orders,
@@ -46,7 +47,8 @@ from .verify import DEEP_ORACLE, available_suites, run_suite
 
 class ResultCache:
     """Keyed JSON store under one directory; writes are atomic and reads
-    reject entries from other tool versions."""
+    reject entries from other tool versions. An entry of the wrong shape
+    is a miss, with a warning."""
 
     def __init__(self, root: str):
         self.root = root
@@ -81,10 +83,31 @@ class ResultCache:
                 entry = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
+        if not isinstance(entry, dict):
+            return self._malformed(key)
         normalized = json.loads(json.dumps(key))
         if entry.get("tool_version") != __version__ or entry.get("key") != normalized:
             return None
         return entry.get("payload")
+
+    def lookup(self, key, fields):
+        """The cached payload if it is a dict carrying every field in
+        ``fields`` (name -> type), else None: a payload without them is a
+        miss, with a warning."""
+        payload = self.get(key)
+        if payload is None or (
+            isinstance(payload, dict)
+            and all(isinstance(payload.get(k), t) for k, t in fields.items())
+        ):
+            return payload
+        return self._malformed(key)
+
+    def _malformed(self, key) -> None:
+        print(
+            f"warning: ignoring malformed cache entry {self._path(key)}; recomputing",
+            file=sys.stderr,
+        )
+        return None
 
     def put(self, key, payload) -> None:
         entry = {"key": key, "tool_version": __version__, "payload": payload}
@@ -100,17 +123,18 @@ class ResultCache:
                 pass
 
 
-def _cached(args, kind: str, group: Group, params, compute):
+def _cached(args, kind: str, group: Group, params, fields, compute):
     """Serve a canonical-class document from the cache when configured.
 
     Cached payloads are keyed on the invariant-factor spec, so handlers
     must only put class-invariant data (sorted multisets, canonical
-    chains) into them.
+    chains) into them. ``fields`` lists the keys (with types) the handler
+    reads back; a cached payload without them is recomputed.
     """
     cache = ResultCache.from_args(args)
     key = [kind, group.canonical_spec, params]
     if cache is not None:
-        hit = cache.get(key)
+        hit = cache.lookup(key, fields)
         if hit is not None:
             return hit
     document = compute()
@@ -202,7 +226,12 @@ def cmd_gd(args) -> int:
             document["size"] = pres.size()
         return document
 
-    document = _cached(args, "gd", group, [args.d], compute)
+    fields = {
+        "moduli": list,
+        "invariants": list,
+        "free_rank" if args.d == 0 else "size": int,
+    }
+    document = _cached(args, "gd", group, [args.d], fields, compute)
     lines = [
         f"bracket of {group.canonical_spec} at degree {args.d}",
         f"summand orders: {document['moduli']}",
@@ -243,7 +272,9 @@ def cmd_hmg(args) -> int:
             document["order"] = prod(invariants) if invariants else 1
         return document
 
-    document = _cached(args, "hmg", group, [args.d, target_name], compute)
+    # only degree 0 (into Z) has a free result; see hom_invariants
+    fields = {"invariants": list, "free_rank" if args.d == 0 else "order": int}
+    document = _cached(args, "hmg", group, [args.d, target_name], fields, compute)
     lines = [
         f"homogeneous functions on {group.canonical_spec}, degree {args.d}, "
         f"target {target_name}",
@@ -274,7 +305,8 @@ def cmd_coc(args) -> int:
             "coc_order": prod(report.coc_invariants),
         }
 
-    document = _cached(args, "coc", group, [], compute)
+    fields = {"count": int, "quotient_profile": list, "coc": list, "coc_order": int}
+    document = _cached(args, "coc", group, [], fields, compute)
     lines = [
         f"cocyclic subgroups of {group.canonical_spec}: {document['count']}",
         "cyclic quotient orders: "
@@ -286,10 +318,20 @@ def cmd_coc(args) -> int:
     return 0
 
 
+SK1_FIELDS = {
+    "group": str,
+    "hmg": list,
+    "coc": list,
+    "sk1": list,
+    "theorem_4_1_applies": bool,
+    "q_counts": dict,
+}
+
+
 def cmd_sk1(args) -> int:
     group = parse_group_spec(args.group)
     document = _cached(
-        args, "sk1", group, [], lambda: sk1_invariants(group).to_json_dict()
+        args, "sk1", group, [], SK1_FIELDS, lambda: sk1_invariants(group).to_json_dict()
     )
     lines = [
         f"group: {document['group']}",
@@ -451,7 +493,7 @@ def _table_row(job):
         return (p, None, str(exc))
     cache = ResultCache(cache_root) if cache_root else None
     key = ["sk1", group.canonical_spec, []]
-    payload = cache.get(key) if cache else None
+    payload = cache.lookup(key, SK1_FIELDS) if cache else None
     if payload is None:
         payload = sk1_invariants(group).to_json_dict()
         if cache:
@@ -591,6 +633,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # bracket sizes and orders can run to many thousands of digits; print
+    # them exactly, and leave the interpreter's limit as it was on return
+    # (interpreters before 3.10.7 have no limit)
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    if has_limit:
+        digits_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except GroupSpecError as exc:
@@ -602,9 +651,18 @@ def main(argv=None) -> int:
     except TransferError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalInvariantError as exc:
+        print(
+            f"internal error: {exc}; this is a bug in homok, please report it",
+            file=sys.stderr,
+        )
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(digits_limit)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ ring.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -21,179 +20,89 @@ from .bracket import Target, graded_presentation, hom_invariants
 from .groups import (
     Group,
     GroupElement,
+    InternalInvariantError,
     cyclic_subgroups,
-    element_order,
+    generated_record_index,
     invariant_factors_from_orders,
     sylow_decompose,
 )
-from .snf import IntMatrix, cokernel_invariants, subgroup_basis, subgroup_invariants
+from .snf import IntMatrix, cokernel_invariants, subgroup_invariants
 
 
 @dataclass(frozen=True)
 class CocyclicSubgroup:
-    """A subgroup with cyclic quotient: sorted member element indices, an
-    independent generator basis with its ascending order chain, and the
-    (cyclic) quotient order."""
+    """The kernel K of the character ``chi(g) = sum_i chi_i g_i / n_i``:
+    the (cyclic) quotient order ``|G/K|`` is the order of ``chi``."""
 
-    members: tuple[int, ...]
-    generator_basis: tuple[GroupElement, ...]
-    basis_orders: tuple[int, ...]
+    character: GroupElement
     quotient_order: int
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    size: int
 
 
 @lru_cache(maxsize=None)
 def cocyclic_subgroups(group: Group) -> tuple[CocyclicSubgroup, ...]:
     """All subgroups K with G/K cyclic, smallest first.
 
-    Every such K is the kernel of a character (G/K cyclic embeds into the
-    scalar group), so scanning the |G| characters and deduplicating kernels
-    is complete — no general subgroup lattice needed.
+    Every such K is the kernel of a character, and ker chi depends only on
+    the cyclic subgroup <chi> of the dual. Under the pairing above the dual
+    is G itself on the same factors, so the kernels are indexed by the
+    canonical generators of G's cyclic subgroups: no character scan needed.
     """
-    e = group.exponent
-    weights = [e // n for n in group.factor_orders]
-    elements = list(group.elements())
-    kernels: set[tuple[int, ...]] = set()
-    for chi in elements:
-        members = tuple(
-            idx
-            for idx, g in enumerate(elements)
-            if sum(c * x * w for c, x, w in zip(chi, g, weights)) % e == 0
+    records = sorted(cyclic_subgroups(group), key=lambda rec: -rec.subgroup_order)
+    return tuple(
+        CocyclicSubgroup(
+            rec.canonical_generator,
+            rec.subgroup_order,
+            group.order // rec.subgroup_order,
         )
-        kernels.add(members)
-
-    out = []
-    for members in sorted(kernels, key=lambda m: (len(m), m)):
-        rows = [list(elements[i]) for i in members]
-        basis = subgroup_basis(rows, list(group.factor_orders))
-        orders = tuple(order for _, order in basis)
-        assert prod(orders) == len(members), "basis does not span the kernel"
-        out.append(
-            CocyclicSubgroup(
-                members=members,
-                generator_basis=tuple(vec for vec, _ in basis),
-                basis_orders=orders,
-                quotient_order=group.order // len(members),
-            )
-        )
-    return tuple(out)
+        for rec in records
+    )
 
 
-def _basis_coordinates(group: Group, k: CocyclicSubgroup) -> dict[int, tuple[int, ...]]:
-    """Element index -> coordinates over k's generator basis."""
-    coords = {}
-    for combo in itertools.product(*(range(m) for m in k.basis_orders)):
-        g = group.zero
-        for c, vec in zip(combo, k.generator_basis):
-            g = group.add(g, group.scale(c, vec))
-        coords[group.element_index(g)] = combo
-    assert len(coords) == k.size, "generator basis is not independent"
-    return coords
-
-
-def cocyclic_vector(
-    group: Group, k: CocyclicSubgroup, phi: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Coordinates over ``+ Z/|C|`` of the extension-by-zero of the
-    character ``phi`` of K (given in K's basis coordinates).
-
-    At a cyclic subgroup C contained in K the coordinate is
-    ``phi(x_C) * |C|``; at any other C the canonical generator lies
-    outside K and the function vanishes, so the coordinate is 0.
-    """
-    if len(phi) != len(k.basis_orders):
-        raise ValueError(
-            f"expected {len(k.basis_orders)} character coordinates, got {len(phi)}"
-        )
-    for p, m in zip(phi, k.basis_orders):
-        if not 0 <= p < m:
-            raise ValueError(f"character coordinate {p} out of range for order {m}")
-    coords = _basis_coordinates(group, k)
-    member_set = frozenset(k.members)
-    out = []
-    for rec in cyclic_subgroups(group):
-        if member_set.issuperset(rec.members):
-            cvec = coords[group.element_index(rec.canonical_generator)]
-            c = rec.subgroup_order
-            val = sum(
-                p * (cj * c // mj) for p, cj, mj in zip(phi, cvec, k.basis_orders)
-            )
-            out.append(val % c)
-        else:
-            out.append(0)
-    return tuple(out)
-
-
-def _chosen_generator(group: Group, rec, generator_choice) -> GroupElement:
+def _chosen_generator(group: Group, pos: int, rec, generator_choice) -> GroupElement:
     if generator_choice is None:
         return rec.canonical_generator
     x = generator_choice(rec)
-    if (
-        group.element_index(x) not in rec.members
-        or element_order(group, x) != rec.subgroup_order
-    ):
+    if generated_record_index(group, x) != pos:
         raise ValueError(
             f"{x} does not generate the subgroup of {rec.canonical_generator}"
         )
     return x
 
 
-def _kernel_betas(group: Group, k: CocyclicSubgroup, generator_choice):
-    """Per cyclic-subgroup column: None when the column's subgroup is not
-    inside K, else ``(|C|, [beta_j])`` where the extension by zero of the
-    j-th basis character takes value beta_j/|C| at the column's generator."""
-    coords = _basis_coordinates(group, k)
-    member_set = frozenset(k.members)
-    betas = []
-    for rec in cyclic_subgroups(group):
-        if not member_set.issuperset(rec.members):
-            betas.append(None)
-            continue
-        x = _chosen_generator(group, rec, generator_choice)
-        cvec = coords[group.element_index(x)]
-        c = rec.subgroup_order
-        betas.append((c, [cj * c // mj for cj, mj in zip(cvec, k.basis_orders)]))
-    return betas
+def _coc_basis_rows(group: Group, generator_choice=None) -> IntMatrix:
+    """Per kernel K and per factor i, the extension by zero of the i-th
+    coordinate character ``g -> g_i / n_i`` restricted to K.
 
-
-def coc_generator_matrix(group: Group, generator_choice=None) -> IntMatrix:
-    """One row per (cocyclic subgroup, character of it), in deterministic
-    order; columns follow the cyclic-subgroup order. The row set generates
-    the cocyclic lattice because extension-by-zero is additive in the
-    character.
+    Restriction from the dual of G onto the dual of K is onto, and the
+    coordinate characters generate the dual of G, so these rows generate
+    the whole cocyclic lattice. At a column whose cyclic subgroup C (with
+    generator x of order c) lies in K, that is chi(x) = 0, the entry is
+    ``x_i * c / n_i`` mod c; elsewhere it is 0.
 
     ``generator_choice`` (a map from cyclic-subgroup record to a generator
     of it) re-bases the column identifications; invariants downstream must
     not depend on it.
     """
+    e = group.exponent
+    factors = group.factor_orders
+    weights = [e // n for n in factors]
+    columns = [
+        (_chosen_generator(group, pos, rec, generator_choice), rec.subgroup_order)
+        for pos, rec in enumerate(cyclic_subgroups(group))
+    ]
     rows: IntMatrix = []
     for k in cocyclic_subgroups(group):
-        betas = _kernel_betas(group, k, generator_choice)
-        for phi in itertools.product(*(range(m) for m in k.basis_orders)):
-            row = []
-            for beta in betas:
-                if beta is None:
-                    row.append(0)
-                else:
-                    c, bs = beta
-                    row.append(sum(p * b for p, b in zip(phi, bs)) % c)
-            rows.append(row)
-    return rows
-
-
-def _coc_basis_rows(group: Group, generator_choice=None) -> IntMatrix:
-    """Rows for a basis of each kernel's character group only. The full
-    matrix is additive in the character, so these generate the same
-    lattice in a fraction of the rows."""
-    rows: IntMatrix = []
-    for k in cocyclic_subgroups(group):
-        betas = _kernel_betas(group, k, generator_choice)
-        for j in range(len(k.basis_orders)):
+        weighted = [c * w for c, w in zip(k.character, weights)]
+        inside = [
+            sum(a * b for a, b in zip(weighted, x)) % e == 0 for x, _ in columns
+        ]
+        for i, n in enumerate(factors):
             rows.append(
-                [0 if beta is None else beta[1][j] % beta[0] for beta in betas]
+                [
+                    (x[i] * c // n) % c if hit else 0
+                    for (x, c), hit in zip(columns, inside)
+                ]
             )
     return rows
 
@@ -250,7 +159,11 @@ def _sk1_compute(group: Group, generator_choice) -> SK1Report:
     rows = _coc_basis_rows(group, generator_choice)
     quotient = cokernel_invariants(rows, moduli)
     coc = subgroup_invariants(rows, moduli)
-    assert prod(hmg) == prod(coc) * prod(quotient), "order bookkeeping broke"
+    if prod(hmg) != prod(coc) * prod(quotient):
+        raise InternalInvariantError(
+            f"order bookkeeping broke on {group.spec}: "
+            "|hmg| != |coc| * |quotient|"
+        )
     return SK1Report(
         group=group,
         hmg_invariants=hmg,

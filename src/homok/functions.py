@@ -16,12 +16,11 @@ from .bracket import GradedPresentation, Target, graded_presentation
 from .groups import (
     Group,
     GroupElement,
+    QZ_ZERO,
     RationalResidue,
     element_order,
     parse_group_spec,
 )
-
-QZ_ZERO = RationalResidue(0, 1)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,10 @@ class CapExceededError(RuntimeError):
     """The requested group is larger than the configured order cap."""
 
 
+class InternalInvariantError(RuntimeError):
+    """A result failed an internal consistency check: a bug, not bad input."""
+
+
 @dataclass(frozen=True)
 class RationalResidue:
     """An element of Q/Z stored as a reduced fraction ``num/den`` in [0, 1).

@@ -20,9 +20,7 @@ from math import gcd, lcm, prod
 
 from .bracket import GradedPresentation, graded_presentation, project_element
 from .functions import FunctionTable, is_homogeneous
-from .groups import RationalResidue
-
-QZ_ZERO = RationalResidue(0, 1)
+from .groups import QZ_ZERO, RationalResidue
 
 
 class TransferError(ValueError):

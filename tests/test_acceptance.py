@@ -11,7 +11,7 @@ import random
 import subprocess
 import sys
 import time
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from homok.arith import divisors, is_prime
 from homok.cli import main as cli_main
@@ -298,6 +298,27 @@ def test_criterion_12_cli_determinism(capsys):
             f"byte-identical sk1 output; all suites pass (total {total:.0f}s)",
             elapsed,
         )
+
+
+def test_criterion_13_elementary_quotient_matches_ados():
+    # Alperin, Dennis, Oliver, Stein, "SK_1 of finite abelian groups I"
+    # (Invent. Math. 87, 1987): SK_1(Z[(C_p)^k]) is (Z/p)^N with
+    # N = (p^k - 1)/(p - 1) - C(p + k - 1, p), a formula from outside this
+    # package
+    t0 = time.monotonic()
+    cases = [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3)]
+    ok = True
+    for p, k in cases:
+        n = (p**k - 1) // (p - 1) - comb(p + k - 1, p)
+        if sk1_invariants(Group((p,) * k)).quotient_invariants != (p,) * n:
+            ok = False
+    elapsed = time.monotonic() - t0
+    _report(
+        13,
+        ok,
+        "elementary quotients = ADOS formula on 3^2..3^5, 5^2, 5^3, 7^2, 7^3",
+        elapsed,
+    )
 
 
 def test_all_is_prime_consistency():

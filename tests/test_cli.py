@@ -5,11 +5,15 @@ import json
 import subprocess
 import sys
 import threading
+from math import prod
 
 import pytest
 
+import homok.cocyclic
 from homok import verify
+from homok.bracket import graded_presentation
 from homok.cli import ResultCache, _family_factors, _parse_primes, main
+from homok.groups import Group
 
 
 def run_cli(argv, capsys):
@@ -55,6 +59,45 @@ class TestExitCodes:
     def test_missing_job_file(self, capsys):
         code, _, err = run_cli(["transfer", "--job", "/no/such/file"], capsys)
         assert code == 2
+
+    def test_internal_invariant_break_exits_1(self, monkeypatch, capsys):
+        # a quotient chain that breaks |hmg| = |coc| * |quotient|
+        monkeypatch.setattr(homok.cocyclic, "cokernel_invariants", lambda r, m: (3,))
+        homok.cocyclic._sk1_invariants_default.cache_clear()
+        try:
+            code, out, err = run_cli(["sk1", "--group", "9"], capsys)
+        finally:
+            homok.cocyclic._sk1_invariants_default.cache_clear()
+        assert code == 1
+        assert out == ""
+        assert "order bookkeeping" in err and "please report" in err
+
+
+class TestHugeNumbers:
+    # the degree-60 bracket of (Z/2)^12 has order 2^16380, 4931 digits:
+    # past the interpreter's default int-to-str limit of 4300 digits
+    ARGS = ["--group", "2,2,2,2,2,2,2,2,2,2,2,2", "--d", "60"]
+
+    def _value(self, out: str, field: str, as_json: bool) -> int:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            if as_json:
+                return json.loads(out)[field]
+            return int(out.splitlines()[-1].removeprefix(f"{field}: "))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_gd_and_hmg_print_the_exact_value(self, capsys):
+        expected = prod(graded_presentation(Group((2,) * 12), 60).moduli)
+        limit = sys.get_int_max_str_digits()
+        for command, field in (("gd", "size"), ("hmg", "order")):
+            for as_json in (False, True):
+                argv = [command, *self.ARGS] + (["--json"] if as_json else [])
+                code, out, _ = run_cli(argv, capsys)
+                assert code == 0
+                assert self._value(out, field, as_json) == expected
+                assert sys.get_int_max_str_digits() == limit
 
 
 class TestDocuments:
@@ -257,6 +300,33 @@ class TestCache:
         )
         assert code == 0
         assert "caching disabled" in err
+
+    def _corrupt_and_rerun(self, tmp_path, capsys, corrupt):
+        cachedir = tmp_path / "cache"
+        argv = ["sk1", "--group", "3,3,3", "--json", "--cache", str(cachedir)]
+        _, first, _ = run_cli(argv, capsys)
+        (path,) = cachedir.iterdir()
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps(corrupt(entry)))
+        code, second, err = run_cli(argv, capsys)
+        assert code == 0
+        assert second == first
+        assert err.count("\n") == 1 and "malformed cache entry" in err
+        # the entry was rewritten: the next call is a quiet hit
+        assert json.loads(path.read_text()) == entry
+        code, third, err = run_cli(argv, capsys)
+        assert (code, third, err) == (0, first, "")
+
+    def test_payload_missing_a_field_is_a_miss(self, tmp_path, capsys):
+        def drop_hmg(entry):
+            entry = json.loads(json.dumps(entry))
+            del entry["payload"]["hmg"]
+            return entry
+
+        self._corrupt_and_rerun(tmp_path, capsys, drop_hmg)
+
+    def test_entry_that_is_a_list_is_a_miss(self, tmp_path, capsys):
+        self._corrupt_and_rerun(tmp_path, capsys, lambda entry: [entry])
 
     def test_cache_used_by_cli(self, tmp_path, capsys):
         cachedir = tmp_path / "cache"

@@ -1,15 +1,13 @@
 """Cocyclic subgroups, the generator lattice, and the quotient invariants."""
 
 import itertools
-import random
 from math import prod
 
 import pytest
 
 from homok.cocyclic import (
-    coc_generator_matrix,
+    _coc_basis_rows,
     cocyclic_subgroups,
-    cocyclic_vector,
     sk1_invariants,
     sk1_sylow_check,
 )
@@ -20,6 +18,7 @@ from homok.groups import (
     cyclic_subgroups,
     element_order,
 )
+from homok.oracles import span_in_ambient
 
 
 def brute_kernels(group: Group):
@@ -39,6 +38,45 @@ def brute_kernels(group: Group):
     return kernels
 
 
+def kernel_members(group: Group, k) -> tuple[int, ...]:
+    """Element indices g with k.character(g) = 0, by direct evaluation."""
+    e = group.exponent
+    factors = group.factor_orders
+    return tuple(
+        idx
+        for idx, g in enumerate(group.elements())
+        if sum(c * x * (e // n) for c, x, n in zip(k.character, g, factors)) % e == 0
+    )
+
+
+def full_lattice_rows(group: Group):
+    """Every character of every brute-force kernel, extended by zero, in the
+    coordinates of ``+ Z/|C|`` (value a/|C| at the canonical generator of C
+    gives coordinate a).
+
+    A character of K is the restriction of some phi in the dual of G, so
+    looping over all phi and all kernels covers every character of every
+    kernel (with repeats)."""
+    e = group.exponent
+    factors = group.factor_orders
+    records = cyclic_subgroups(group)
+    rows = set()
+    for members in brute_kernels(group):
+        member_set = set(members)
+        for phi in itertools.product(*(range(n) for n in factors)):
+            row = []
+            for rec in records:
+                x = rec.canonical_generator
+                if group.element_index(x) not in member_set:
+                    row.append(0)
+                    continue
+                val = sum(p * xi * (e // n) for p, xi, n in zip(phi, x, factors))
+                # val / e in Q/Z has denominator dividing |C|
+                row.append(val * rec.subgroup_order // e % rec.subgroup_order)
+            rows.add(tuple(row))
+    return rows
+
+
 class TestEnumeration:
     def test_counts(self):
         assert len(cocyclic_subgroups(Group((9,)))) == 3
@@ -53,8 +91,9 @@ class TestEnumeration:
     def test_matches_brute_force_kernels(self):
         for spec in [(9,), (3, 3), (2, 2), (12,), (3, 9), (2, 4)]:
             g = Group(spec)
-            ours = {tuple(sorted(k.members)) for k in cocyclic_subgroups(g)}
-            assert ours == brute_kernels(g)
+            ours = [kernel_members(g, k) for k in cocyclic_subgroups(g)]
+            assert len(set(ours)) == len(ours)
+            assert set(ours) == brute_kernels(g)
 
     def test_count_equals_cyclic_subgroup_count(self):
         for g in all_abelian_groups(40):
@@ -65,82 +104,68 @@ class TestEnumeration:
         assert has_zero(Group((9,)))
         assert not has_zero(Group((3, 3)))
 
-    def test_members_form_subgroups_with_matching_basis(self):
+    def test_kernels_are_subgroups_of_the_stated_index(self):
         for spec in [(3, 9), (2, 4), (5, 5)]:
             g = Group(spec)
             for k in cocyclic_subgroups(g):
-                members = set(k.members)
-                for a in k.members:
-                    for b in k.members:
+                members = kernel_members(g, k)
+                member_set = set(members)
+                for a in members:
+                    for b in members:
                         s = g.add(g.element_at(a), g.element_at(b))
-                        assert g.element_index(s) in members
-                assert prod(k.basis_orders) == k.size
-                for vec, o in zip(k.generator_basis, k.basis_orders):
-                    assert element_order(g, vec) == o
-                    assert g.element_index(vec) in members
+                        assert g.element_index(s) in member_set
+                assert len(members) == k.size
+                assert k.size * k.quotient_order == g.order
+                assert element_order(g, k.character) == k.quotient_order
+
+    def test_smallest_kernel_first(self):
+        sizes = [k.size for k in cocyclic_subgroups(Group((3, 9)))]
+        assert sizes == sorted(sizes)
 
 
 class TestCocyclicVector:
+    # on Z/9 the columns are the subgroups of order 1, 3, 9; the identity
+    # character of a kernel K, extended by zero, is 1/|C| at every C in K
     def test_worked_example_full_group(self):
         g = Group((9,))
-        full = max(cocyclic_subgroups(g), key=lambda k: k.size)
-        assert cocyclic_vector(g, full, (1,)) == (0, 1, 1)
+        moduli = [rec.subgroup_order for rec in cyclic_subgroups(g)]
+        span = span_in_ambient(_coc_basis_rows(g), moduli)
+        assert (0, 1, 1) in span
+        assert (0, 1, 1) in full_lattice_rows(g)
 
     def test_worked_example_proper_kernel(self):
         g = Group((9,))
-        mid = next(k for k in cocyclic_subgroups(g) if k.size == 3)
-        assert cocyclic_vector(g, mid, (1,)) == (0, 1, 0)
-        assert cocyclic_vector(g, mid, (0,)) == (0, 0, 0)
-
-    def test_additive_in_the_character(self):
-        for spec in [(9,), (3, 3), (3, 9)]:
-            g = Group(spec)
-            moduli = [rec.subgroup_order for rec in cyclic_subgroups(g)]
-            for k in cocyclic_subgroups(g):
-                chars = list(itertools.product(*(range(m) for m in k.basis_orders)))
-                rng = random.Random(len(chars))
-                for _ in range(6):
-                    p1 = rng.choice(chars)
-                    p2 = rng.choice(chars)
-                    s = tuple((a + b) % m for a, b, m in zip(p1, p2, k.basis_orders))
-                    v1 = cocyclic_vector(g, k, p1)
-                    v2 = cocyclic_vector(g, k, p2)
-                    vs = cocyclic_vector(g, k, s)
-                    assert vs == tuple(
-                        (a + b) % m for a, b, m in zip(v1, v2, moduli)
-                    )
-
-    def test_validation(self):
-        g = Group((9,))
-        full = max(cocyclic_subgroups(g), key=lambda k: k.size)
-        with pytest.raises(ValueError, match="coordinates"):
-            cocyclic_vector(g, full, (1, 2))
-        with pytest.raises(ValueError, match="out of range"):
-            cocyclic_vector(g, full, (9,))
+        moduli = [rec.subgroup_order for rec in cyclic_subgroups(g)]
+        span = span_in_ambient(_coc_basis_rows(g), moduli)
+        assert (0, 1, 0) in span
+        assert (0, 1, 0) in full_lattice_rows(g)
 
 
 class TestGeneratorMatrix:
     def test_shape_and_spot_rows(self):
         g = Group((9,))
-        rows = coc_generator_matrix(g)
-        assert len(rows) == 1 + 3 + 9  # one row per (kernel, character)
+        rows = _coc_basis_rows(g)
+        assert len(rows) == 3  # one row per (kernel, factor)
         assert all(len(r) == 3 for r in rows)
-        assert [0, 0, 0] in rows
-        assert [0, 1, 1] in rows  # the identity character of the full group
+        assert rows == [[0, 0, 0], [0, 1, 0], [0, 1, 1]]  # smallest kernel first
 
     def test_rows_are_cocyclic_vectors(self):
-        g = Group((3, 3))
-        rows = {tuple(r) for r in coc_generator_matrix(g)}
-        expected = set()
-        for k in cocyclic_subgroups(g):
-            for phi in itertools.product(*(range(m) for m in k.basis_orders)):
-                expected.add(cocyclic_vector(g, k, phi))
-        assert rows == expected
+        # the rows are extended characters (so their span lies inside the
+        # full lattice), and every extended character of every kernel lies
+        # in their span: the two spans are equal
+        for spec in [(9,), (3, 3), (3, 9), (2, 4), (2, 2, 2)]:
+            g = Group(spec)
+            moduli = [rec.subgroup_order for rec in cyclic_subgroups(g)]
+            full = full_lattice_rows(g)
+            rows = _coc_basis_rows(g)
+            assert len(rows) == len(cocyclic_subgroups(g)) * g.rank
+            assert {tuple(r) for r in rows} <= full
+            assert full <= span_in_ambient(rows, moduli)
 
     def test_generator_choice_is_validated(self):
         g = Group((9,))
         with pytest.raises(ValueError, match="generate"):
-            coc_generator_matrix(g, lambda rec: (0,))
+            sk1_invariants(g, generator_choice=lambda rec: (0,))
 
 
 def gf_rank(rows, p):
@@ -190,7 +215,7 @@ class TestQuotientInvariants:
             g = Group(spec)
             p = spec[0]
             lines = cyclic_subgroup_count(g) - 1
-            nontrivial = [row[1:] for row in coc_generator_matrix(g)]
+            nontrivial = [row[1:] for row in _coc_basis_rows(g)]
             corank = lines - gf_rank(nontrivial, p)
             assert sk1_invariants(g).quotient_invariants == (p,) * corank
 
