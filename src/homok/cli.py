@@ -44,11 +44,16 @@ from .verify import DEEP_ORACLE, available_suites, run_suite
 
 # -- result cache -----------------------------------------------------------
 
+# Part of every cache key and entry. Bump it whenever an algorithm or a
+# payload changes, so results of the old code are never served: entries
+# written under another schema are silent misses.
+CACHE_SCHEMA = 2
+
 
 class ResultCache:
     """Keyed JSON store under one directory; writes are atomic and reads
-    reject entries from other tool versions. An entry of the wrong shape
-    is a miss, with a warning."""
+    reject entries from other tool versions and cache schemas. An entry of
+    the wrong shape is a miss, with a warning."""
 
     def __init__(self, root: str):
         self.root = root
@@ -72,7 +77,7 @@ class ResultCache:
         return ResultCache(root)
 
     def _path(self, key) -> str:
-        blob = json.dumps(key, sort_keys=True)
+        blob = json.dumps([CACHE_SCHEMA, key], sort_keys=True)
         return os.path.join(
             self.root, hashlib.sha256(blob.encode()).hexdigest()[:32] + ".json"
         )
@@ -86,7 +91,11 @@ class ResultCache:
         if not isinstance(entry, dict):
             return self._malformed(key)
         normalized = json.loads(json.dumps(key))
-        if entry.get("tool_version") != __version__ or entry.get("key") != normalized:
+        if (
+            entry.get("tool_version") != __version__
+            or entry.get("schema") != CACHE_SCHEMA
+            or entry.get("key") != normalized
+        ):
             return None
         return entry.get("payload")
 
@@ -110,7 +119,12 @@ class ResultCache:
         return None
 
     def put(self, key, payload) -> None:
-        entry = {"key": key, "tool_version": __version__, "payload": payload}
+        entry = {
+            "key": key,
+            "schema": CACHE_SCHEMA,
+            "tool_version": __version__,
+            "payload": payload,
+        }
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -511,14 +525,21 @@ def _table_row(job):
     return (p, row, None)
 
 
+def _pool_size(requested: int | None, rows: int) -> int:
+    """Worker processes for ``rows`` table rows: ``requested`` (default:
+    no limit) capped by the row count and the CPU count, and at least 1."""
+    cap = min(rows, os.cpu_count() or 1)
+    return max(1, cap if requested is None else min(requested, cap))
+
+
 def cmd_table(args) -> int:
     primes = _parse_primes(args.primes)
     for p in primes:
         _family_factors(args.family, p)  # fail fast on a bad template
     cache = ResultCache.from_args(args)
     jobs = [(args.family, p, cache.root if cache else None) for p in primes]
-    workers = args.workers or min(len(jobs), os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
+    workers = _pool_size(args.workers, len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_table_row, jobs))
     else:
@@ -541,6 +562,16 @@ def cmd_table(args) -> int:
 
 
 # -- parser -----------------------------------------------------------------
+
+
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 worker, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,7 +656,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--primes", required=True, help="list 3,5,7 or range 3..31")
     p.add_argument("--out", required=True, help="output path, - for stdout")
-    p.add_argument("--workers", type=int, help="worker processes (default: one per row)")
+    p.add_argument(
+        "--workers",
+        type=_worker_count,
+        help="worker processes, at least 1 (default and upper limit: one per "
+        "row, at most one per CPU)",
+    )
     p.set_defaults(handler=cmd_table)
 
     return parser

@@ -14,7 +14,6 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .arith import factorize, vp
-from .snf import cokernel_invariants
 
 DEFAULT_CAP = 100_000
 
@@ -99,7 +98,8 @@ class Group:
 
     Two groups compare equal iff their presented factor tuples are equal;
     the canonical invariant-factor chain is computed once on construction
-    (via the relation-matrix Smith form) and shared by everything downstream.
+    (prime by prime from the factor orders) and shared by everything
+    downstream.
     """
 
     __slots__ = ("factor_orders", "invariant_factors", "order", "exponent")
@@ -118,7 +118,7 @@ class Group:
         self.factor_orders = factors
         self.order = order
         self.exponent = lcm(*factors)
-        self.invariant_factors = cokernel_invariants([], list(factors))
+        self.invariant_factors = invariant_factors_from_orders(factors)
 
     # -- identity ---------------------------------------------------------
 

@@ -3,14 +3,18 @@ invariant factors of quotients and subgroups of ``Z/m1 x ... x Z/mq``.
 
 Matrices are plain ``list[list[int]]`` acting on row vectors; a subgroup of
 the ambient group is described by generator rows together with the implicit
-relation rows ``m_j * e_j``.
+relation rows ``m_j * e_j``. Quotient and subgroup invariants come from one
+triangular fold and an elimination over ``Z/p^n`` per prime
+(``lattice_invariants``); the generic Smith form serves the public
+``smith_normal_form``/``smith_diagonal`` and ``subgroup_basis``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .arith import xgcd
+from .arith import factorize, xgcd
 
 IntMatrix = list[list[int]]
 
@@ -208,6 +212,8 @@ def _hermite_basis(rows: IntMatrix, moduli: list[int]) -> IntMatrix:
     Entries are kept reduced modulo the ambient moduli throughout -- adding a
     multiple of ``m_j * e_j`` never leaves the lattice, and it keeps the
     arithmetic on word-sized integers even for thousands of generator rows.
+    Most rows reduce to zero by subtracting multiples of basis rows, which
+    stay sparse, so that step touches only their nonzero entries.
     """
     q = len(moduli)
     basis: list[list[int]] = []
@@ -215,6 +221,8 @@ def _hermite_basis(rows: IntMatrix, moduli: list[int]) -> IntMatrix:
         row = [0] * q
         row[c] = m
         basis.append(row)
+    # nonzero (column, entry) pairs of each basis row
+    support = [[(c, m)] for c, m in enumerate(moduli)]
 
     seen: set[tuple[int, ...]] = set()
     for raw in rows:
@@ -223,16 +231,17 @@ def _hermite_basis(rows: IntMatrix, moduli: list[int]) -> IntMatrix:
         if key in seen:  # duplicates are common in generator dumps
             continue
         seen.add(key)
-        for c in range(q):
-            val = row[c]
+        # the iterator reads each entry after the reductions at the
+        # columns before it have updated it
+        for c, val in enumerate(row):
             if val == 0:
                 continue
             brow = basis[c]
             pivot = brow[c]
             if val % pivot == 0:
                 f = val // pivot
-                for j in range(c, q):
-                    row[j] = (row[j] - f * brow[j]) % moduli[j]
+                for j, b in support[c]:
+                    row[j] = (row[j] - f * b) % moduli[j]
             else:
                 g, sc, tc = xgcd(pivot, val)
                 fb = pivot // g
@@ -245,54 +254,135 @@ def _hermite_basis(rows: IntMatrix, moduli: list[int]) -> IntMatrix:
                 new_basis[c] = g
                 row[c] = 0
                 basis[c] = new_basis
+                support[c] = [(j, b) for j in range(c, q) if (b := new_basis[j])]
     return basis
 
 
 def _express_relations(basis: IntMatrix, moduli: list[int]) -> IntMatrix:
     """Integer matrix ``X`` with ``X @ basis == diag(moduli)``.
 
-    ``basis`` is upper triangular with positive pivots, so this is exact
-    back-substitution column by column.
+    ``basis`` is upper triangular with positive pivots, so row i of ``X`` is
+    exact back-substitution of ``moduli[i] * e_i``: each solved coordinate
+    subtracts its multiple of one basis row from the remainder, touching
+    only that row's nonzero entries.
     """
     q = len(moduli)
+    tails = [[(j, b) for j in range(c + 1, q) if (b := brow[j])]
+             for c, brow in enumerate(basis)]
     out = []
-    for i in range(q):
-        target = [0] * q
-        target[i] = moduli[i]
+    for i, m in enumerate(moduli):
+        rem = [0] * q
+        rem[i] = m
         x = [0] * q
-        for c in range(q):
-            rem = target[c] - sum(x[j] * basis[j][c] for j in range(c))
-            if rem % basis[c][c]:
+        for c in range(i, q):
+            val = rem[c]
+            if not val:
+                continue
+            f, bad = divmod(val, basis[c][c])
+            if bad:
                 raise ArithmeticError("relation row does not lie in the lattice")
-            x[c] = rem // basis[c][c]
+            x[c] = f
+            for j, b in tails[c]:
+                rem[j] -= f * b
         out.append(x)
     return out
 
 
-def cokernel_invariants(rows: IntMatrix, moduli: list[int]) -> tuple[int, ...]:
-    """Invariant factors of ``(Z/m1 x ... x Z/mq) / <rows>``.
+def _local_exponents(mat: IntMatrix, p: int, n: int) -> list[int]:
+    """Exponents of the p-primary part of ``Z^w / rowspan(mat)`` (w the
+    width of ``mat``), for a lattice whose cokernel is killed by ``p^n``.
 
-    Conceptually this is the Smith form of ``rows`` stacked on top of
-    ``diag(moduli)``; the stack is folded into a square triangular basis
-    first so the Smith step only ever sees a ``q x q`` matrix.
+    Elimination over the local ring ``Z/p^n``: pivot on an entry of least
+    p-valuation v, scale its row by the inverse of its unit part so the
+    pivot reads ``p^v``, and clear the pivot's column with row operations.
+    Every entry of the pivot row is then a multiple of ``p^v``, so column
+    operations would clear the rest of the row without touching any other
+    row: the pivot row splits off as ``Z/p^v`` and is dropped. Columns never
+    pivoted contribute ``Z/p^n`` each. No gcds, no column pass, and every
+    entry stays below ``p^n``.
+    """
+    pn = p**n
+    width = len(mat[0]) if mat else 0
+    rows = [r for r in ([x % pn for x in row] for row in mat) if any(r)]
+    exps: list[int] = []
+    pivots = 0
+    v, pv = 0, 1
+    while rows:
+        # every remaining entry is a multiple of p^v; find one that is not
+        # a multiple of p^(v+1)
+        step = pv * p
+        hit = next(
+            ((i, j) for i, row in enumerate(rows)
+             for j, x in enumerate(row) if x % step),
+            None,
+        )
+        if hit is None:
+            v, pv = v + 1, step
+            continue
+        i, j = hit
+        prow = rows.pop(i)
+        unit_inv = pow(prow[j] // pv, -1, pn)
+        support = [(k, x * unit_inv % pn) for k, x in enumerate(prow) if x]
+        kept = []
+        for row in rows:
+            f = row[j] // pv
+            if f:
+                for k, b in support:
+                    row[k] = (row[k] - f * b) % pn
+                if not any(row):
+                    continue
+            kept.append(row)
+        rows = kept
+        pivots += 1
+        if v:
+            exps.append(v)
+    return exps + [n] * (width - pivots)
 
-    Returns the ascending divisor chain with unit factors dropped; the
-    entries multiply out to the quotient order.
+
+def _chain(local: list[tuple[int, list[int]]]) -> tuple[int, ...]:
+    """Ascending invariant factors from each prime's exponents."""
+    width = max((len(exps) for _, exps in local), default=0)
+    chain = [1] * width
+    for p, exps in local:
+        for slot, v in enumerate(sorted(exps, reverse=True)):
+            chain[width - 1 - slot] *= p**v
+    return tuple(chain)
+
+
+def lattice_invariants(
+    rows: IntMatrix, moduli: list[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Invariant factors of the quotient ``(Z/m1 x ... x Z/mq) / <rows>``
+    and of the subgroup ``<rows>`` itself, from one Hermite fold.
+
+    With B the triangular basis of ``rows`` stacked on ``diag(moduli)``, the
+    quotient is ``Z^q / rowspan(B)`` and the subgroup is ``Z^q /
+    rowspan(X)`` for ``X @ B == diag(moduli)``. Both are killed by the
+    exponent e of the ambient group, so for each prime p of e their
+    p-parts are read off B and X reduced mod ``p^v_p(e)``. Each chain is
+    ascending with unit factors dropped.
     """
     _validate_ambient(rows, moduli)
     basis = _hermite_basis(rows, moduli)
-    diag = smith_diagonal(basis)
-    return tuple(d for d in diag if d != 1)
+    relations = _express_relations(basis, moduli)
+    quotient, subgroup = [], []
+    for p, n in factorize(lcm(*moduli)).items():
+        quotient.append((p, _local_exponents(basis, p, n)))
+        subgroup.append((p, _local_exponents(relations, p, n)))
+    return _chain(quotient), _chain(subgroup)
+
+
+def cokernel_invariants(rows: IntMatrix, moduli: list[int]) -> tuple[int, ...]:
+    """Invariant factors of ``(Z/m1 x ... x Z/mq) / <rows>``: the ascending
+    divisor chain with unit factors dropped, multiplying out to the
+    quotient order."""
+    return lattice_invariants(rows, moduli)[0]
 
 
 def subgroup_invariants(rows: IntMatrix, moduli: list[int]) -> tuple[int, ...]:
     """Invariant factors of the subgroup of ``Z/m1 x ... x Z/mq`` generated
     by ``rows`` (as an abstract abelian group)."""
-    _validate_ambient(rows, moduli)
-    basis = _hermite_basis(rows, moduli)
-    x = _express_relations(basis, moduli)
-    diag = smith_diagonal(x)
-    return tuple(d for d in diag if d != 1)
+    return lattice_invariants(rows, moduli)[1]
 
 
 def subgroup_basis(

@@ -20,7 +20,7 @@ from math import gcd, lcm, prod
 
 from .bracket import GradedPresentation, graded_presentation, project_element
 from .functions import FunctionTable, is_homogeneous
-from .groups import QZ_ZERO, RationalResidue
+from .groups import QZ_ZERO, InternalInvariantError, RationalResidue
 
 
 class TransferError(ValueError):
@@ -101,13 +101,18 @@ def induced_graded_map(table: FunctionTable) -> InducedGradedMap:
     # and the source summand order kills the image coordinate.
     for (rec, a), (j, v) in zip(source.summands, images):
         mj = target.moduli[j]
-        assert mj == 1 or gcd(v, mj) == 1, "image coordinate is not a unit"
-        assert a % mj == 0, "source summand order does not kill its image"
+        if mj > 1 and gcd(v, mj) != 1:
+            raise InternalInvariantError("image coordinate is not a unit")
+        if a % mj:
+            raise InternalInvariantError(
+                "source summand order does not kill its image"
+            )
 
     hit = sorted({j for j, _ in images})
     image_size = prod(target.moduli[j] for j in hit)
     total = source.size()
-    assert total % image_size == 0, "image size does not divide the source"
+    if total % image_size:
+        raise InternalInvariantError("image size does not divide the source")
     kernel_size = total // image_size
 
     sections: list[tuple[int, int] | None] = [None] * len(target.summands)
@@ -202,7 +207,8 @@ def transfer_apply(mapping: InducedGradedMap, f) -> tuple[RationalResidue, ...]:
         i, c = sec
         val = (mapping.kernel_size * c) * f[i]
         mj = mapping.target.moduli[j]
-        assert mj % val.order == 0, "transfer left the target lattice"
+        if mj % val.order:
+            raise InternalInvariantError("transfer left the target lattice")
         out.append(val)
     return tuple(out)
 
@@ -258,5 +264,6 @@ def preimage_sum(
         else:
             break
     expected = mapping.kernel_size if mapping.sections[target_index] else 0
-    assert matches == expected, "preimage count disagrees with kernel size"
+    if matches != expected:
+        raise InternalInvariantError("preimage count disagrees with kernel size")
     return acc

@@ -306,7 +306,11 @@ def test_criterion_13_elementary_quotient_matches_ados():
     # N = (p^k - 1)/(p - 1) - C(p + k - 1, p), a formula from outside this
     # package
     t0 = time.monotonic()
-    cases = [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3)]
+    cases = [
+        (3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
+        (5, 2), (5, 3), (5, 4),
+        (7, 2), (7, 3),
+    ]
     ok = True
     for p, k in cases:
         n = (p**k - 1) // (p - 1) - comb(p + k - 1, p)
@@ -316,7 +320,7 @@ def test_criterion_13_elementary_quotient_matches_ados():
     _report(
         13,
         ok,
-        "elementary quotients = ADOS formula on 3^2..3^5, 5^2, 5^3, 7^2, 7^3",
+        "elementary quotients = ADOS formula on 3^2..3^6, 5^2..5^4, 7^2, 7^3",
         elapsed,
     )
 

@@ -2,6 +2,7 @@
 the result cache, and CSV table generation."""
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -10,9 +11,9 @@ from math import prod
 import pytest
 
 import homok.cocyclic
-from homok import verify
+from homok import cli, verify
 from homok.bracket import graded_presentation
-from homok.cli import ResultCache, _family_factors, _parse_primes, main
+from homok.cli import ResultCache, _family_factors, _parse_primes, _pool_size, main
 from homok.groups import Group
 
 
@@ -62,7 +63,10 @@ class TestExitCodes:
 
     def test_internal_invariant_break_exits_1(self, monkeypatch, capsys):
         # a quotient chain that breaks |hmg| = |coc| * |quotient|
-        monkeypatch.setattr(homok.cocyclic, "cokernel_invariants", lambda r, m: (3,))
+        real = homok.cocyclic.lattice_invariants
+        monkeypatch.setattr(
+            homok.cocyclic, "lattice_invariants", lambda r, m: ((3,), real(r, m)[1])
+        )
         homok.cocyclic._sk1_invariants_default.cache_clear()
         try:
             code, out, err = run_cli(["sk1", "--group", "9"], capsys)
@@ -71,6 +75,32 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "order bookkeeping" in err and "please report" in err
+
+    def test_broken_transfer_invariant_exits_1_under_optimize(self, tmp_path):
+        # reduction mod 3 from Z/9, with the image size forced to 7 so that
+        # it no longer divides the source bracket; -O strips asserts, so
+        # the check must survive it
+        job = tmp_path / "job.json"
+        job.write_text(
+            json.dumps(
+                {"d": 1, "source": "9", "target": "3",
+                 "t_values": [[x % 3] for x in range(9)]}
+            )
+        )
+        script = (
+            "import sys, homok.transfer\n"
+            "from homok.cli import main\n"
+            "homok.transfer.prod = lambda factors: 7\n"
+            "sys.exit(main(['transfer', '--job', sys.argv[1]]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(job)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "image size" in proc.stderr and "please report" in proc.stderr
 
 
 class TestHugeNumbers:
@@ -328,6 +358,27 @@ class TestCache:
     def test_entry_that_is_a_list_is_a_miss(self, tmp_path, capsys):
         self._corrupt_and_rerun(tmp_path, capsys, lambda entry: [entry])
 
+    def test_entry_of_another_schema_is_a_silent_miss(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cachedir = tmp_path / "cache"
+        argv = ["sk1", "--group", "3,3,3", "--json", "--cache", str(cachedir)]
+        monkeypatch.setattr(cli, "CACHE_SCHEMA", cli.CACHE_SCHEMA - 1)
+        run_cli(argv, capsys)
+        monkeypatch.undo()
+        (old_path,) = cachedir.iterdir()
+        # a wrong answer stored under the older schema is never served
+        entry = json.loads(old_path.read_text())
+        entry["payload"]["sk1"] = [7]
+        old_path.write_text(json.dumps(entry))
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["sk1"] == [3, 3, 3]
+        # nor one found under the current key: a miss, without a warning
+        (new_path,) = set(cachedir.iterdir()) - {old_path}
+        new_path.write_text(json.dumps({**entry, "payload": ["not", "a", "dict"]}))
+        assert run_cli(argv, capsys) == (0, out, "")
+
     def test_cache_used_by_cli(self, tmp_path, capsys):
         cachedir = tmp_path / "cache"
         argv = ["sk1", "--group", "3,3", "--json", "--cache", str(cachedir)]
@@ -375,6 +426,27 @@ class TestTable:
         assert len(lines) == 2  # header + p=3 (2187); 7^7 is over the cap
         assert lines[1].startswith("3,2187,")
         assert "skipping p=7" in err
+
+    def test_pool_size_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _pool_size(None, 10) == 4
+        assert _pool_size(None, 3) == 3
+        assert _pool_size(2, 10) == 2
+        assert _pool_size(1000, 10) == 4
+        assert _pool_size(1000, 2) == 2
+        assert _pool_size(8, 0) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_size(None, 10) == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_rejected(self, workers, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--family", "p", "--primes", "3",
+                  "--out", str(out), "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_family_grammar(self):
         assert _family_factors("p", 5) == [5]

@@ -5,8 +5,10 @@ from math import prod
 
 import pytest
 
+from homok import snf
 from homok.cocyclic import (
     _coc_basis_rows,
+    _sk1_invariants_default,
     cocyclic_subgroups,
     sk1_invariants,
     sk1_sylow_check,
@@ -248,6 +250,26 @@ class TestQuotientInvariants:
         alt = sk1_invariants(Group((3, 3, 3)), generator_choice=last_generator)
         assert alt.quotient_invariants == base.quotient_invariants
         assert alt.coc_invariants == base.coc_invariants
+
+    def test_never_reaches_the_generic_smith(self, monkeypatch):
+        # (quotient, lattice) chains as the Hermite + Smith route gave them
+        expected = {
+            (3, 9, 9): ((3,) * 15 + (9,) * 2, (3,) * 18 + (9,) * 24),
+            (2, 4, 4, 4): ((2,) * 26 + (4,) * 14, (2,) * 25 + (4,) * 24),
+            (6, 6): ((), (3,) + (6,) * 15),
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sk1 reached the generic Smith form")
+
+        monkeypatch.setattr(snf, "_smith", refuse)
+        _sk1_invariants_default.cache_clear()
+        try:
+            for spec, chains in expected.items():
+                report = sk1_invariants(Group(spec))
+                assert (report.quotient_invariants, report.coc_invariants) == chains
+        finally:
+            _sk1_invariants_default.cache_clear()
 
     def test_json_shape(self):
         doc = sk1_invariants(Group((9, 3, 5))).to_json_dict()

@@ -11,6 +11,7 @@ from homok.snf import (
     determinant,
     identity_matrix,
     invert_unimodular,
+    lattice_invariants,
     matmul,
     smith_diagonal,
     smith_normal_form,
@@ -155,3 +156,47 @@ def test_quotient_and_subgroup_orders_multiply(seed):
     assert tuple(order for _, order in basis) == subinv
     for vec, order in basis:
         assert len(closure([list(vec)], moduli)) == order
+
+
+def stacked_smith_chain(rows, moduli):
+    """Quotient chain the long way: the Smith form of ``rows`` on top of
+    ``diag(moduli)``, unit factors dropped."""
+    q = len(moduli)
+    relations = [[m if i == j else 0 for j in range(q)] for i, m in enumerate(moduli)]
+    return tuple(d for d in smith_diagonal([list(r) for r in rows] + relations) if d != 1)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_lattice_invariants_match_smith_and_subgroup_basis(seed):
+    rng = random.Random(0x1A77 + seed)
+    q = rng.randint(1, 6)
+    if seed % 2:  # one prime: every modulus a power of it, units included
+        p = rng.choice([2, 3, 5])
+        moduli = [p ** rng.randint(0, 3) for _ in range(q)]
+    else:  # mixed primes and units
+        moduli = [rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 18, 25, 36]) for _ in range(q)]
+    rows = [[rng.randint(-40, 40) for _ in range(q)] for _ in range(rng.randint(0, 5))]
+    if rows and seed % 3 == 0:
+        rows.append([0] * q)
+    if rows and seed % 4 == 0:
+        rows.append(list(rows[0]))
+        rows.append([x * rng.randint(2, 5) for x in rows[-1]])
+    quotient, subgroup = lattice_invariants(rows, moduli)
+    assert quotient == stacked_smith_chain(rows, moduli)
+    assert subgroup == tuple(order for _, order in subgroup_basis(rows, moduli))
+    assert (cokernel_invariants(rows, moduli), subgroup_invariants(rows, moduli)) == (
+        quotient,
+        subgroup,
+    )
+
+
+def test_lattice_invariants_edge_cases():
+    assert lattice_invariants([], []) == ((), ())
+    assert lattice_invariants([], [1, 1]) == ((), ())
+    assert lattice_invariants([[5, 7]], [1, 1]) == ((), ())
+    assert lattice_invariants([[0, 0], [0, 0]], [4, 6]) == ((2, 12), ())
+    assert lattice_invariants([], [9, 27, 3]) == ((3, 9, 27), ())
+    # (Z/9)^2 / <(3, 0), (3, 0), (0, 0)>: the subgroup is Z/3
+    assert lattice_invariants([[3, 0], [3, 0], [0, 0]], [9, 9]) == ((3, 9), (3,))
+    # full ambient group generated: everything in the subgroup
+    assert lattice_invariants([[1, 0], [0, 1]], [8, 12]) == ((), (4, 24))
