@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from math import prod
 
 from . import __version__
@@ -422,7 +422,17 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = available_suites() if args.suite == "all" else (args.suite,)
+    # checked here, not by argparse choices: the parser is built once, and
+    # suites may be registered after that
+    suites = available_suites()
+    if args.suite != "all" and args.suite not in suites:
+        print(
+            f"error: unknown suite {args.suite!r}; available: "
+            f"{', '.join(suites)}, all",
+            file=sys.stderr,
+        )
+        return 2
+    names = suites if args.suite == "all" else (args.suite,)
     reports = []
     code = 0
     for name in names:
@@ -540,6 +550,9 @@ def cmd_table(args) -> int:
     jobs = [(args.family, p, cache.root if cache else None) for p in primes]
     workers = _pool_size(args.workers, len(jobs))
     if workers > 1:
+        # imported here: every other command would pay for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_table_row, jobs))
     else:
@@ -574,7 +587,10 @@ def _worker_count(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. It holds no handlers
+    and no suite names: ``main`` looks both up on every call."""
     parser = argparse.ArgumentParser(
         prog="homok",
         description="Homogeneous function groups of finite abelian groups.",
@@ -592,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", parents=[common], help="group card and its cyclic subgroups")
     p.add_argument("spec", help="comma-separated factor orders, e.g. 3,9,5")
-    p.set_defaults(handler=cmd_group)
 
     p = sub.add_parser("od", parents=[common], help="higher order o_d(k)")
     p.add_argument("--d", type=int, required=True, help="degree")
@@ -602,12 +617,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check against the sampled gcd fold",
     )
-    p.set_defaults(handler=cmd_od)
 
     p = sub.add_parser("gd", parents=[common], help="graded bracket presentation")
     p.add_argument("--group", required=True, help="group spec")
     p.add_argument("--d", type=int, required=True, help="degree")
-    p.set_defaults(handler=cmd_gd)
 
     p = sub.add_parser("hmg", parents=[common], help="homogeneous function invariants")
     p.add_argument("--group", required=True, help="group spec")
@@ -617,15 +630,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="QZ",
         help="QZ (default), Z (degree 0), or a finite target spec like 27",
     )
-    p.set_defaults(handler=cmd_hmg)
 
     p = sub.add_parser("coc", parents=[common], help="cocyclic subgroups and lattice")
     p.add_argument("--group", required=True, help="group spec")
-    p.set_defaults(handler=cmd_coc)
 
     p = sub.add_parser("sk1", parents=[common], help="quotient by the cocyclic lattice")
     p.add_argument("--group", required=True, help="group spec")
-    p.set_defaults(handler=cmd_sk1)
 
     p = sub.add_parser("transfer", parents=[common], help="run a transfer job file")
     p.add_argument(
@@ -634,19 +644,16 @@ def build_parser() -> argparse.ArgumentParser:
         help='JSON file with "d", "source", "target", "t_values" and '
         'optionally "f_coords"',
     )
-    p.set_defaults(handler=cmd_transfer)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument(
         "--suite",
         required=True,
-        choices=available_suites() + ("all",),
-        help="suite name, or all",
+        help=f"one of {', '.join(available_suites())}, or all",
     )
     p.add_argument("--kmax", type=int, help="order grid bound (suites that take it)")
     p.add_argument("--dmax", type=int, help="degree grid bound (suites that take it)")
     p.add_argument("--seed", type=int, help="seed (randomized suites)")
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("table", parents=[common], help="CSV over a prime family")
     p.add_argument(
@@ -662,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes, at least 1 (default and upper limit: one per "
         "row, at most one per CPU)",
     )
-    p.set_defaults(handler=cmd_table)
 
     return parser
 
@@ -677,7 +683,7 @@ def main(argv=None) -> int:
         digits_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        return globals()[f"cmd_{args.command}"](args)
     except GroupSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from .bracket import GradedPresentation, Target, graded_presentation
 from .groups import (
     Group,
     GroupElement,
+    InternalInvariantError,
     QZ_ZERO,
     RationalResidue,
     element_order,
@@ -227,7 +228,11 @@ def from_coordinates(
     table = from_generator_values(pres, values)
     if check:
         report = is_homogeneous(table)
-        assert report.homogeneous, report.detail
+        if not report.homogeneous:
+            raise InternalInvariantError(
+                f"from_coordinates built a table that is not homogeneous: "
+                f"{report.detail}"
+            )
     return table
 
 
@@ -283,7 +288,11 @@ def pointwise_combine(tables, weights, check: bool = False) -> FunctionTable:
     out = FunctionTable(head.domain, head.degree, tuple(values), head.codomain)
     if check:
         report = is_homogeneous(out)
-        assert report.homogeneous, report.detail
+        if not report.homogeneous:
+            raise InternalInvariantError(
+                f"pointwise_combine built a table that is not homogeneous: "
+                f"{report.detail}"
+            )
     return out
 
 

@@ -218,12 +218,10 @@ def element_order(group: Group, g: GroupElement) -> int:
 
 @dataclass(frozen=True)
 class CyclicSubgroupRecord:
-    """One cyclic subgroup: its lex-least generator, order, and sorted
-    member element indices."""
+    """One cyclic subgroup: its lex-least generator and its order."""
 
     canonical_generator: GroupElement
     subgroup_order: int
-    members: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -235,11 +233,6 @@ def _subgroup_scan(group: Group):
             continue
         gen = group.element_at(idx)
         o = element_order(group, gen)
-        members = []
-        h = group.zero
-        for _ in range(o):
-            members.append(group.element_index(h))
-            h = group.add(h, gen)
         generator_indices = [
             group.element_index(group.scale(m, gen))
             for m in range(1, o + 1)
@@ -247,13 +240,13 @@ def _subgroup_scan(group: Group):
         ]
         for j in generator_indices:
             claimed[j] = True
-        raw.append((o, gen, tuple(sorted(members)), generator_indices))
+        raw.append((o, gen, generator_indices))
 
     raw.sort(key=lambda item: (item[0], item[1]))
     records = []
     generated_by = [0] * group.order
-    for pos, (o, gen, members, generator_indices) in enumerate(raw):
-        records.append(CyclicSubgroupRecord(gen, o, members))
+    for pos, (o, gen, generator_indices) in enumerate(raw):
+        records.append(CyclicSubgroupRecord(gen, o))
         for j in generator_indices:
             generated_by[j] = pos
     return tuple(records), tuple(generated_by)

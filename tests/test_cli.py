@@ -281,6 +281,79 @@ class TestVerifyCommand:
         assert "counterexample: broken at 7" in out
 
 
+class TestFrontEnd:
+    """The parser is built once per process; handlers and suites are looked
+    up on every call."""
+
+    ARGVS = [
+        ["hmg", "--group", "3,9", "--d", "2"],
+        ["gd", "--group", "2,4,4", "--d", "1", "--json"],
+        ["sk1", "--group", "3,9,5"],
+        ["verify", "--suite", "lemma211", "--kmax", "8", "--dmax", "3"],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_calls_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.delenv("HOMOK_CACHE_DIR", raising=False)
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "homok", *argv], capture_output=True, check=True
+            ).stdout.decode()
+            for argv in self.ARGVS
+        ]
+        for _ in range(3):
+            for argv, want in zip(self.ARGVS, fresh):
+                code, out, _ = run_cli(argv, capsys)
+                assert code == 0
+                assert out == want
+
+    def test_handler_patched_after_first_call_runs(self, capsys, monkeypatch):
+        run_cli(["sk1", "--group", "3"], capsys)
+        seen = []
+        monkeypatch.setattr(cli, "cmd_sk1", lambda args: seen.append(args.group) or 0)
+        code, out, _ = run_cli(["sk1", "--group", "5"], capsys)
+        assert (code, out, seen) == (0, "", ["5"])
+
+    def test_suite_added_after_first_call_runs(self, capsys, monkeypatch):
+        run_cli(["verify", "--suite", "lemma211", "--kmax", "4", "--dmax", "2"], capsys)
+
+        def late():
+            yield True, "fine"
+
+        monkeypatch.setitem(verify.SUITES, "late", late)
+        code, out, _ = run_cli(["verify", "--suite", "late"], capsys)
+        assert code == 0
+        assert "suite late: 1 checks passed" in out
+
+    def test_unknown_suite_exits_2(self, capsys):
+        code, out, err = run_cli(["verify", "--suite", "nosuch"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unknown suite 'nosuch'" in err and "lemma211" in err
+
+    def test_bad_flag_exits_2_after_the_parser_was_built(self, capsys):
+        cli.build_parser()
+        for argv in (["sk1", "--group", "3", "--bogus"], ["nosuch"], ["gd", "--d", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage:" in capsys.readouterr().err
+        assert run_cli(["sk1", "--group", "3"], capsys)[0] == 0
+
+    def test_import_leaves_out_the_process_pool(self):
+        script = (
+            "import sys, homok.cli\n"
+            "homok.cli.build_parser()\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "False\n"
+
+
 class TestCache:
     def test_put_get_round_trip(self, tmp_path):
         cache = ResultCache(str(tmp_path))

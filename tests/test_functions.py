@@ -1,6 +1,8 @@
 """Function tables: homogeneity checking and coordinate forms."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -139,6 +141,35 @@ class TestCoordinates:
         pres = graded_presentation(Group((9,)), 2)
         t = from_coordinates(pres, (0, 3, 4), 9, check=True)
         assert is_homogeneous(t)
+
+    @pytest.mark.parametrize("build", ["from_coordinates", "pointwise_combine"])
+    def test_failed_audit_raises_under_optimize(self, build):
+        # the audit reports failure; -O strips asserts, so the check must
+        # survive it
+        script = (
+            "import sys, homok.functions as fn\n"
+            "from homok.bracket import graded_presentation\n"
+            "from homok.groups import Group, InternalInvariantError\n"
+            "fn.is_homogeneous = lambda t: fn.HomogeneityReport(False, None, 'forced')\n"
+            "pres = graded_presentation(Group((9,)), 2)\n"
+            "try:\n"
+            "    if sys.argv[1] == 'from_coordinates':\n"
+            "        fn.from_coordinates(pres, (0, 3, 4), 9, check=True)\n"
+            "    else:\n"
+            "        t = fn.from_coordinates(pres, (0, 3, 4), 9)\n"
+            "        fn.pointwise_combine([t, t], [1, 2], check=True)\n"
+            "except InternalInvariantError as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(3)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, build],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "not homogeneous: forced" in proc.stdout
+        assert build in proc.stdout
 
     def test_to_coordinates_rejects_inhomogeneous(self):
         g = Group((9,))
