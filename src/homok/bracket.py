@@ -4,20 +4,27 @@ elements modulo the relations ``[n*x] - n^d*[x]``.
 Structurally this is one cyclic summand per cyclic subgroup, of order the
 d-th order of the subgroup order, and every computation here works on that
 summand list directly. Degree 0 is the free case: one Z summand per cyclic
-subgroup.
+subgroup. The moduli depend only on how many cyclic subgroups there are of
+each order, so they come from the census of the invariant factors; the
+records (which name generators) are read from the element scan only when
+asked for.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
+from .arith import run_product
 from .groups import (
     CyclicSubgroupRecord,
     Group,
     GroupElement,
+    InternalInvariantError,
+    cyclic_subgroup_census,
     cyclic_subgroups,
     generated_record_index,
     invariant_factors_from_orders,
@@ -37,45 +44,58 @@ class Target(enum.Enum):
 
 @dataclass(frozen=True)
 class GradedPresentation:
-    """Degree-d bracket of ``group`` as an explicit summand list.
+    """Degree-d bracket of ``group``: one cyclic summand per cyclic subgroup.
 
-    ``summands[i]`` pairs the i-th cyclic subgroup record with its modulus
-    (the d-th order of the subgroup order). For ``degree == 0`` the bracket
-    is free: moduli are all 0 and ``free_rank`` is the cyclic subgroup
-    count; otherwise ``free_rank`` is 0 and all moduli are >= 1.
+    ``moduli[i]`` is the d-th order of the i-th subgroup's order, in the
+    canonical cyclic-subgroup order (by order, then generator). For
+    ``degree == 0`` the bracket is free: moduli are all 0 and ``free_rank``
+    is the cyclic subgroup count; otherwise ``free_rank`` is 0 and all
+    moduli are >= 1. ``records`` and ``summands`` name the generators and
+    run the element scan on first use.
     """
 
     group: Group
     degree: int
-    summands: tuple[tuple[CyclicSubgroupRecord, int], ...]
+    moduli: tuple[int, ...]
     free_rank: int
 
     @property
     def records(self) -> tuple[CyclicSubgroupRecord, ...]:
-        return tuple(rec for rec, _ in self.summands)
+        return cyclic_subgroups(self.group)
 
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.summands)
+    @cached_property
+    def summands(self) -> tuple[tuple[CyclicSubgroupRecord, int], ...]:
+        """``(record, modulus)`` pairs; the scan's record orders must be the
+        census the moduli were built from."""
+        records = self.records
+        orders = [rec.subgroup_order for rec in records]
+        census = cyclic_subgroup_census(self.group)
+        if orders != [m for m, c in census for _ in range(c)]:
+            raise InternalInvariantError(
+                f"cyclic subgroup orders of {self.group.spec} from the scan "
+                "disagree with the census"
+            )
+        return tuple(zip(records, self.moduli))
 
     def size(self) -> int:
         """Number of elements of the bracket group (degree != 0 only)."""
         if self.degree == 0:
             raise ValueError("the degree-0 bracket is infinite")
-        n = 1
-        for _, m in self.summands:
-            n *= m
-        return n
+        return run_product(self.moduli)
 
 
 @lru_cache(maxsize=None)
 def graded_presentation(group: Group, degree: int) -> GradedPresentation:
-    """Summands in the canonical cyclic-subgroup order, with moduli from the
-    closed-form d-th orders."""
-    records = cyclic_subgroups(group)
-    moduli = tuple(higher_order(degree, rec.subgroup_order) for rec in records)
-    free_rank = len(records) if degree == 0 else 0
-    return GradedPresentation(group, degree, tuple(zip(records, moduli)), free_rank)
+    """Moduli from the cyclic-subgroup census and the closed-form d-th
+    orders: ``higher_order`` once per subgroup order, repeated once per
+    subgroup of that order."""
+    moduli = tuple(
+        modulus
+        for m, c in cyclic_subgroup_census(group)
+        for modulus in itertools.repeat(higher_order(degree, m), c)
+    )
+    free_rank = len(moduli) if degree == 0 else 0
+    return GradedPresentation(group, degree, moduli, free_rank)
 
 
 def project_element(pres: GradedPresentation, g: GroupElement) -> tuple[int, int]:

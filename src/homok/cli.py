@@ -23,7 +23,7 @@ import tempfile
 from math import prod
 
 from . import __version__
-from .arith import is_prime
+from .arith import is_prime, run_product
 from .bracket import Target, graded_presentation, hom_invariants
 from .cocyclic import cocyclic_subgroups, sk1_invariants
 from .functions import FunctionTable
@@ -47,13 +47,23 @@ from .verify import DEEP_ORACLE, available_suites, run_suite
 # Part of every cache key and entry. Bump it whenever an algorithm or a
 # payload changes, so results of the old code are never served: entries
 # written under another schema are silent misses.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _probe(path: str) -> None:
+    """Create the cache directory and check that a file can be made in it,
+    once per absolute path and process. A probe that raises is not
+    remembered, so an unwritable directory warns on every call."""
+    os.makedirs(path, exist_ok=True)
+    tempfile.NamedTemporaryFile(dir=path, prefix=".probe-").close()
 
 
 class ResultCache:
     """Keyed JSON store under one directory; writes are atomic and reads
     reject entries from other tool versions and cache schemas. An entry of
-    the wrong shape is a miss, with a warning."""
+    the wrong shape is a miss, with a warning. A write that fails (say, the
+    directory went away after its probe) is skipped."""
 
     def __init__(self, root: str):
         self.root = root
@@ -64,9 +74,7 @@ class ResultCache:
         if not root:
             return None
         try:
-            os.makedirs(root, exist_ok=True)
-            probe = tempfile.NamedTemporaryFile(dir=root, prefix=".probe-")
-            probe.close()
+            _probe(os.path.abspath(root))
         except OSError as exc:
             print(
                 f"warning: cache directory {root!r} is not writable "
@@ -125,16 +133,18 @@ class ResultCache:
             "tool_version": __version__,
             "payload": payload,
         }
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(entry, fh, sort_keys=True)
             os.replace(tmp, self._path(key))
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
 
 def _cached(args, kind: str, group: Group, params, fields, compute):
@@ -283,7 +293,7 @@ def cmd_hmg(args) -> int:
         if invariants and all(n == 0 for n in invariants):
             document["free_rank"] = len(invariants)
         else:
-            document["order"] = prod(invariants) if invariants else 1
+            document["order"] = run_product(invariants)
         return document
 
     # only degree 0 (into Z) has a free result; see hom_invariants

@@ -1,9 +1,16 @@
 """Finite abelian groups presented as ``Z/n1 x ... x Z/nk``.
 
-Elements are plain tuples of residues. The central precomputation is the
-cyclic-subgroup scan: every element generates exactly one cyclic subgroup,
-and the scan claims each element exactly once, so the total cost is the sum
-of the subgroup orders rather than ``|G|^2``.
+Elements are plain tuples of residues. How many cyclic subgroups there are
+of each order follows from the factor orders alone
+(``cyclic_subgroup_census``), and everything that needs only those counts
+(brackets, their moduli and sizes, ``cyclic_subgroup_count``, the Sylow
+complements' counts) reads them from there without touching an element.
+
+The cyclic-subgroup scan is kept for the paths that name elements: group
+listings, the cocyclic lattice columns, ``generated_record_index``,
+function tables and transfers. Every element generates exactly one cyclic
+subgroup, and the scan claims each element exactly once, so its cost is
+the sum of the subgroup orders rather than ``|G|^2``.
 """
 
 from __future__ import annotations
@@ -262,8 +269,46 @@ def generated_record_index(group: Group, g: GroupElement) -> int:
     return _subgroup_scan(group)[1][group.element_index(g)]
 
 
+@lru_cache(maxsize=None)
+def cyclic_subgroup_census(group: Group) -> tuple[tuple[int, int], ...]:
+    """``((m, c_m), ...)``: the number c_m of cyclic subgroups of order m,
+    for every divisor m of the exponent, in ascending order of m.
+
+    No element is visited. #{x : m*x = 0} = prod gcd(m, n_i); inverting
+    that over the divisors of m (Moebius) counts the elements of order
+    exactly m, and each cyclic subgroup of order m has phi(m) generators.
+    The inversion factors over the primes of the exponent: an element has
+    order m exactly when its p-part has order p^v_p(m) for every p.
+    """
+    local = []  # per prime: (p^k, elements of order p^k, phi(p^k)), k = 0..a
+    for p, a in sorted(factorize(group.exponent).items()):
+        killed = [
+            prod(gcd(p**k, n) for n in group.factor_orders) for k in range(a + 1)
+        ]
+        local.append(
+            [(1, 1, 1)]
+            + [
+                (p**k, killed[k] - killed[k - 1], p**k - p ** (k - 1))
+                for k in range(1, a + 1)
+            ]
+        )
+    census = []
+    for choice in itertools.product(*local):
+        m = prod(pk for pk, _, _ in choice)
+        exact = prod(count for _, count, _ in choice)
+        phi = prod(t for _, _, t in choice)
+        if exact % phi:
+            raise InternalInvariantError(
+                f"{exact} elements of order {m} in {group.spec} do not split "
+                f"into cyclic subgroups of {phi} generators each"
+            )
+        census.append((m, exact // phi))
+    census.sort()
+    return tuple(census)
+
+
 def cyclic_subgroup_count(group: Group) -> int:
-    return len(cyclic_subgroups(group))
+    return sum(c for _, c in cyclic_subgroup_census(group))
 
 
 def invariant_factors_from_orders(orders) -> tuple[int, ...]:
@@ -271,37 +316,48 @@ def invariant_factors_from_orders(orders) -> tuple[int, ...]:
 
     ``0`` entries denote free summands and come back as trailing zeros.
     Works prime-by-prime, so it stays cheap for thousands of orders where
-    building a diagonal relation matrix would not.
+    building a diagonal relation matrix would not; each distinct order is
+    factored once, and the chain is built run by run of equal entries.
     """
-    free = 0
-    per_prime: dict[int, list[int]] = {}
+    counts: dict[int, int] = {}
     for o in orders:
+        counts[o] = counts.get(o, 0) + 1
+    free = 0
+    # per prime: (exponent, multiplicity) runs, sorted so the largest is last
+    runs: dict[int, list[tuple[int, int]]] = {}
+    for o, mult in counts.items():
         if o < 0:
             raise ValueError(f"summand order must be >= 0, got {o}")
         if o == 0:
-            free += 1
+            free += mult
             continue
         for p, e in factorize(o).items():
-            per_prime.setdefault(p, []).append(e)
-    for exps in per_prime.values():
-        exps.sort(reverse=True)
-    slots = max((len(v) for v in per_prime.values()), default=0)
-    chain = []
-    for j in range(slots):
+            runs.setdefault(p, []).append((e, mult))
+    for r in runs.values():
+        r.sort()
+    chain = []  # largest entry first
+    while runs:
+        span = min(r[-1][1] for r in runs.values())
         d = 1
-        for p, exps in per_prime.items():
-            if j < len(exps):
-                d *= p ** exps[j]
-        chain.append(d)
+        for p, r in list(runs.items()):
+            e, n = r[-1]
+            d *= p**e
+            if n > span:
+                r[-1] = (e, n - span)
+            elif len(r) > 1:
+                r.pop()
+            else:
+                del runs[p]
+        chain.extend([d] * span)
     chain.reverse()
-    return tuple(d for d in chain if d != 1) + (0,) * free
+    return tuple(chain) + (0,) * free
 
 
 @dataclass(frozen=True)
 class SylowPart:
     """One primary constituent of a group: the p-part, the complementary
     quotient (both in canonical presentation), and the complement's
-    cyclic-subgroup count."""
+    cyclic-subgroup count (from the census, no scan)."""
 
     prime: int
     p_part: Group

@@ -191,7 +191,10 @@ def factorial_valuations():
 
 def homogeneous_counts():
     """Number of homogeneous tables into Z/m by blind backtracking versus
-    the structural product of gcds, for |G| <= 9, 0 <= d <= 4, m <= 6."""
+    the structural product of gcds, for |G| <= 9, 0 <= d <= 4, m <= 6.
+
+    The product runs over the element scan's records, not over the census
+    that the brackets are built from, so this suite does not rest on it."""
     for group in all_abelian_groups(9):
         records = cyclic_subgroups(group)
         for d in range(5):
@@ -221,7 +224,10 @@ def sylow_assembly():
 
 def degree_one_duality():
     """Degree-1 scalar invariants are exactly the cyclic subgroup orders,
-    canonicalized — one dual summand per cyclic subgroup, |G| <= 200."""
+    canonicalized — one dual summand per cyclic subgroup, |G| <= 200.
+
+    The invariants come from the cyclic-subgroup census and the orders from
+    the element scan: this suite is the census's oracle."""
     for group in all_abelian_groups(200):
         orders = [rec.subgroup_order for rec in cyclic_subgroups(group)]
         inv = hom_invariants(graded_presentation(group, 1))

@@ -5,15 +5,25 @@ from math import gcd, prod
 
 import pytest
 
+import homok.bracket
 from homok.arith import factorize
 from homok.bracket import (
+    GradedPresentation,
     Target,
     graded_presentation,
     hom_invariants,
     project_element,
     sylow_decomposition_invariants,
 )
-from homok.groups import Group, cyclic_subgroup_count, element_order
+from homok.groups import (
+    CyclicSubgroupRecord,
+    Group,
+    InternalInvariantError,
+    all_abelian_groups,
+    cyclic_subgroup_count,
+    cyclic_subgroups,
+    element_order,
+)
 from homok.orders import higher_order
 
 
@@ -33,6 +43,35 @@ def test_presentation_matches_closed_form_orders():
             pres = graded_presentation(g, d)
             for rec, modulus in pres.summands:
                 assert modulus == higher_order(d, rec.subgroup_order)
+
+
+def test_census_moduli_align_with_the_scanned_records():
+    """The moduli come from the census; term by term they are the d-th
+    orders of the scan's record orders."""
+    for g in all_abelian_groups(200):
+        records = cyclic_subgroups(g)
+        for d in (0, 1, 2, -1):
+            pres = graded_presentation(g, d)
+            assert pres.moduli == tuple(
+                higher_order(d, rec.subgroup_order) for rec in records
+            ), (g, d)
+            assert pres.records == records
+            assert pres.summands == tuple(zip(records, pres.moduli))
+
+
+def test_summands_refuse_records_that_disagree_with_the_census(monkeypatch):
+    g = Group((3, 3))
+    pres = GradedPresentation(g, 1, graded_presentation(g, 1).moduli, 0)
+    wrong = (CyclicSubgroupRecord((0, 0), 1),) * 5
+    monkeypatch.setattr(homok.bracket, "cyclic_subgroups", lambda group: wrong)
+    with pytest.raises(InternalInvariantError, match="disagree with the census"):
+        pres.summands
+
+
+def test_size_of_long_runs():
+    g = Group((2,) * 16)
+    assert graded_presentation(g, 1).size() == 2 ** (2**16 - 1)
+    assert graded_presentation(g, 2).size() == higher_order(2, 2) ** (2**16 - 1)
 
 
 def test_free_rank_counts_cyclic_subgroups():

@@ -3,6 +3,7 @@ the result cache, and CSV table generation."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -11,6 +12,7 @@ from math import prod
 import pytest
 
 import homok.cocyclic
+import homok.groups
 from homok import cli, verify
 from homok.bracket import graded_presentation
 from homok.cli import ResultCache, _family_factors, _parse_primes, _pool_size, main
@@ -128,6 +130,43 @@ class TestHugeNumbers:
                 assert code == 0
                 assert self._value(out, field, as_json) == expected
                 assert sys.get_int_max_str_digits() == limit
+
+
+class TestBracketsFromTheCensus:
+    """``hmg`` and ``gd`` read the cyclic-subgroup census and never list an
+    element, up to the order cap."""
+
+    GROUPS = ["3,3,3,3,3,3,3,3", "10,10,10,10", ",".join(["2"] * 12),
+              ",".join(["2"] * 16), "9973"]
+    COMMANDS = [
+        ["hmg", "--d", "1"],
+        ["hmg", "--d", "2"],
+        ["hmg", "--d", "-1"],
+        ["hmg", "--d", "0", "--target", "Z"],
+        ["gd", "--d", "0"],
+        ["gd", "--d", "1"],
+    ]
+
+    def test_hmg_and_gd_never_scan(self, capsys, monkeypatch):
+        monkeypatch.delenv("HOMOK_CACHE_DIR", raising=False)
+        argvs = [
+            [cmd[0], "--group", spec, *cmd[1:]]
+            for spec in self.GROUPS
+            for cmd in self.COMMANDS
+        ]
+        unpatched = [run_cli(argv, capsys) for argv in argvs]
+
+        def refuse(group):
+            raise AssertionError(f"scanned the elements of {group.spec}")
+
+        monkeypatch.setattr(homok.groups, "_subgroup_scan", refuse)
+        graded_presentation.cache_clear()
+        try:
+            for argv, want in zip(argvs, unpatched):
+                assert run_cli(argv, capsys) == want, argv
+                assert want[0] == 0 and want[2] == ""
+        finally:
+            graded_presentation.cache_clear()
 
 
 class TestDocuments:
@@ -403,6 +442,53 @@ class TestCache:
         )
         assert code == 0
         assert "caching disabled" in err
+
+    def test_directory_is_probed_once_per_process(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        probes = []
+        real = cli.tempfile.NamedTemporaryFile
+
+        def counting(*args, **kwargs):
+            probes.append(kwargs.get("dir"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.tempfile, "NamedTemporaryFile", counting)
+        cachedir = tmp_path / "cache"
+        for spec in ("3", "9", "3,9", "5", "9"):
+            code, _, err = run_cli(
+                ["hmg", "--group", spec, "--d", "2", "--cache", str(cachedir)], capsys
+            )
+            assert (code, err) == (0, "")
+        assert probes == [str(cachedir)]
+        # a relative spelling of the same directory is the same directory
+        monkeypatch.chdir(tmp_path)
+        argv = ["gd", "--group", "7", "--d", "1", "--cache", "cache"]
+        assert run_cli(argv, capsys)[0] == 0
+        assert probes == [str(cachedir)]
+
+    def test_failed_probe_warns_on_every_call(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for _ in range(3):
+            code, _, err = run_cli(
+                ["gd", "--group", "15", "--d", "1", "--cache", str(blocker / "sub")],
+                capsys,
+            )
+            assert code == 0
+            assert "caching disabled" in err
+
+    def test_directory_removed_after_its_probe(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HOMOK_CACHE_DIR", raising=False)
+        cachedir = tmp_path / "cache"
+        argv = ["hmg", "--group", "3,9,5", "--d", "2", "--json"]
+        assert run_cli(argv + ["--cache", str(cachedir)], capsys)[0] == 0
+        shutil.rmtree(cachedir)
+        _, want, _ = run_cli(argv, capsys)
+        # the entry is gone and the write is skipped: the answer is computed
+        for _ in range(2):
+            assert run_cli(argv + ["--cache", str(cachedir)], capsys) == (0, want, "")
+        assert not cachedir.exists()
 
     def _corrupt_and_rerun(self, tmp_path, capsys, corrupt):
         cachedir = tmp_path / "cache"

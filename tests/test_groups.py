@@ -1,17 +1,22 @@
-"""Group arithmetic, the cyclic-subgroup scan, and primary decomposition."""
+"""Group arithmetic, the cyclic-subgroup scan and census, and primary
+decomposition."""
 
 import random
+from collections import Counter
 from math import gcd, prod
 
 import pytest
 
+import homok.groups
 from homok.groups import (
     CapExceededError,
     Group,
     GroupSpecError,
+    InternalInvariantError,
     RationalResidue,
     all_abelian_groups,
     character_value,
+    cyclic_subgroup_census,
     cyclic_subgroup_count,
     cyclic_subgroups,
     element_order,
@@ -171,6 +176,58 @@ def test_cyclic_subgroup_counts():
     assert cyclic_subgroup_count(Group((1,))) == 1
     # a cyclic group has one subgroup per divisor
     assert cyclic_subgroup_count(Group((12,))) == 6
+
+
+def totient(m):
+    return sum(1 for u in range(1, m + 1) if gcd(u, m) == 1)
+
+
+def test_census_matches_an_element_walk_and_the_scan():
+    """On every abelian group of order <= 500: c_m is the number of
+    elements of order m (a brute-force walk) over phi(m), and the scan's
+    records have exactly these orders."""
+    groups = all_abelian_groups(500)
+    assert len(groups) == 1012
+    for g in groups:
+        walked = Counter(element_order(g, x) for x in g.elements())
+        assert all(n % totient(m) == 0 for m, n in walked.items())
+        expected = tuple(sorted((m, n // totient(m)) for m, n in walked.items()))
+        census = cyclic_subgroup_census(g)
+        assert census == expected, g
+        assert [m for m, _ in census] == [m for m in range(1, g.exponent + 1)
+                                          if g.exponent % m == 0]
+        scanned = Counter(rec.subgroup_order for rec in cyclic_subgroups(g))
+        assert tuple(sorted(scanned.items())) == census, g
+
+
+def test_census_needs_no_element(monkeypatch):
+    """The census, the count and the Sylow complements' counts never scan;
+    the census does not depend on the presentation."""
+
+    def refuse(group):
+        raise AssertionError(f"scanned {group.spec}")
+
+    monkeypatch.setattr(homok.groups, "_subgroup_scan", refuse)
+    assert cyclic_subgroup_census(Group((1,))) == ((1, 1),)
+    assert cyclic_subgroup_census(Group((12,))) == tuple(
+        (m, 1) for m in (1, 2, 3, 4, 6, 12)
+    )
+    assert cyclic_subgroup_census(Group((6, 10))) == cyclic_subgroup_census(
+        Group((2, 30))
+    )
+    assert cyclic_subgroup_count(Group((2,) * 16)) == 2**16
+    assert cyclic_subgroup_count(Group((3,) * 10)) == (3**10 - 1) // 2 + 1
+    # complements 3,9 (1 + 4 + 3 subgroups) and 2,4 (1 + 3 + 2)
+    assert [p.q_complement for p in sylow_decompose(Group((4, 6, 9)))] == [8, 6]
+
+
+def test_census_refuses_counts_that_do_not_split(monkeypatch):
+    group = Group((5,))  # built before the patch: Group() takes no gcd
+    cyclic_subgroup_census.cache_clear()
+    # one element killed by 5 besides 0: not a multiple of phi(5) = 4
+    monkeypatch.setattr(homok.groups, "gcd", lambda a, b: 2 if a > 1 else 1)
+    with pytest.raises(InternalInvariantError, match="do not split"):
+        cyclic_subgroup_census(group)
 
 
 def test_invariant_factors_from_orders():
