@@ -6,8 +6,7 @@ from the rest of the package.
 
 from __future__ import annotations
 
-from itertools import groupby
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -60,16 +59,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def run_product(values) -> int:
-    """Product of ``values``, one ``pow`` per run of equal neighbours.
-
-    Bracket moduli and invariant chains repeat a few values thousands of
-    times; multiplying them in one at a time costs quadratic time in the
-    digits of the product.
-    """
-    return prod(pow(v, sum(1 for _ in run)) for v, run in groupby(values))
 
 
 def vp(n: int, p: int) -> int:

@@ -16,9 +16,8 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, prod
 
-from .arith import run_product
 from .groups import (
     CyclicSubgroupRecord,
     Group,
@@ -81,7 +80,7 @@ class GradedPresentation:
         """Number of elements of the bracket group (degree != 0 only)."""
         if self.degree == 0:
             raise ValueError("the degree-0 bracket is infinite")
-        return run_product(self.moduli)
+        return prod(self.moduli)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ import tempfile
 from math import prod
 
 from . import __version__
-from .arith import is_prime, run_product
+from .arith import is_prime
 from .bracket import Target, graded_presentation, hom_invariants
 from .cocyclic import cocyclic_subgroups, sk1_invariants
 from .functions import FunctionTable
@@ -54,7 +54,8 @@ CACHE_SCHEMA = 3
 def _probe(path: str) -> None:
     """Create the cache directory and check that a file can be made in it,
     once per absolute path and process. A probe that raises is not
-    remembered, so an unwritable directory warns on every call."""
+    remembered, so an unwritable directory warns on every call, and a
+    skipped write (``ResultCache.put``) forgets every probe."""
     os.makedirs(path, exist_ok=True)
     tempfile.NamedTemporaryFile(dir=path, prefix=".probe-").close()
 
@@ -63,7 +64,8 @@ class ResultCache:
     """Keyed JSON store under one directory; writes are atomic and reads
     reject entries from other tool versions and cache schemas. An entry of
     the wrong shape is a miss, with a warning. A write that fails (say, the
-    directory went away after its probe) is skipped."""
+    directory went away after its probe) is skipped, and the next call
+    probes its directory again."""
 
     def __init__(self, root: str):
         self.root = root
@@ -145,6 +147,9 @@ class ResultCache:
                     os.unlink(tmp)
                 except OSError:
                     pass
+            # the directory may have gone away since its probe: probe again
+            # on the next call, which recreates it or warns
+            _probe.cache_clear()
 
 
 def _cached(args, kind: str, group: Group, params, fields, compute):
@@ -293,7 +298,7 @@ def cmd_hmg(args) -> int:
         if invariants and all(n == 0 for n in invariants):
             document["free_rank"] = len(invariants)
         else:
-            document["order"] = run_product(invariants)
+            document["order"] = prod(invariants) if invariants else 1
         return document
 
     # only degree 0 (into Z) has a free result; see hom_invariants

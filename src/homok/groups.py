@@ -316,41 +316,30 @@ def invariant_factors_from_orders(orders) -> tuple[int, ...]:
 
     ``0`` entries denote free summands and come back as trailing zeros.
     Works prime-by-prime, so it stays cheap for thousands of orders where
-    building a diagonal relation matrix would not; each distinct order is
-    factored once, and the chain is built run by run of equal entries.
+    building a diagonal relation matrix would not.
     """
-    counts: dict[int, int] = {}
-    for o in orders:
-        counts[o] = counts.get(o, 0) + 1
     free = 0
-    # per prime: (exponent, multiplicity) runs, sorted so the largest is last
-    runs: dict[int, list[tuple[int, int]]] = {}
-    for o, mult in counts.items():
+    per_prime: dict[int, list[int]] = {}
+    for o in orders:
         if o < 0:
             raise ValueError(f"summand order must be >= 0, got {o}")
         if o == 0:
-            free += mult
+            free += 1
             continue
         for p, e in factorize(o).items():
-            runs.setdefault(p, []).append((e, mult))
-    for r in runs.values():
-        r.sort()
-    chain = []  # largest entry first
-    while runs:
-        span = min(r[-1][1] for r in runs.values())
+            per_prime.setdefault(p, []).append(e)
+    for exps in per_prime.values():
+        exps.sort(reverse=True)
+    slots = max((len(v) for v in per_prime.values()), default=0)
+    chain = []
+    for j in range(slots):
         d = 1
-        for p, r in list(runs.items()):
-            e, n = r[-1]
-            d *= p**e
-            if n > span:
-                r[-1] = (e, n - span)
-            elif len(r) > 1:
-                r.pop()
-            else:
-                del runs[p]
-        chain.extend([d] * span)
+        for p, exps in per_prime.items():
+            if j < len(exps):
+                d *= p ** exps[j]
+        chain.append(d)
     chain.reverse()
-    return tuple(chain) + (0,) * free
+    return tuple(d for d in chain if d != 1) + (0,) * free
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def test_summands_refuse_records_that_disagree_with_the_census(monkeypatch):
         pres.summands
 
 
-def test_size_of_long_runs():
+def test_size_of_many_summands():
     g = Group((2,) * 16)
     assert graded_presentation(g, 1).size() == 2 ** (2**16 - 1)
     assert graded_presentation(g, 2).size() == higher_order(2, 2) ** (2**16 - 1)

@@ -486,9 +486,13 @@ class TestCache:
         shutil.rmtree(cachedir)
         _, want, _ = run_cli(argv, capsys)
         # the entry is gone and the write is skipped: the answer is computed
-        for _ in range(2):
-            assert run_cli(argv + ["--cache", str(cachedir)], capsys) == (0, want, "")
+        assert run_cli(argv + ["--cache", str(cachedir)], capsys) == (0, want, "")
         assert not cachedir.exists()
+        # the skipped write dropped the probe: the next call recreates the
+        # directory and stores its answer, and the one after is a hit
+        assert run_cli(argv + ["--cache", str(cachedir)], capsys) == (0, want, "")
+        assert len(list(cachedir.iterdir())) == 1
+        assert run_cli(argv + ["--cache", str(cachedir)], capsys) == (0, want, "")
 
     def _corrupt_and_rerun(self, tmp_path, capsys, corrupt):
         cachedir = tmp_path / "cache"
