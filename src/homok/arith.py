@@ -6,7 +6,7 @@ from the rest of the package.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -88,7 +88,3 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1

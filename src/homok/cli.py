@@ -25,7 +25,7 @@ from math import prod
 from . import __version__
 from .arith import is_prime
 from .bracket import Target, graded_presentation, hom_invariants
-from .cocyclic import cocyclic_subgroups, sk1_invariants
+from .cocyclic import sk1_invariants
 from .functions import FunctionTable
 from .groups import (
     CapExceededError,
@@ -33,6 +33,7 @@ from .groups import (
     GroupSpecError,
     InternalInvariantError,
     RationalResidue,
+    cyclic_subgroup_census,
     cyclic_subgroups,
     invariant_factors_from_orders,
     parse_group_spec,
@@ -60,12 +61,24 @@ def _probe(path: str) -> None:
     tempfile.NamedTemporaryFile(dir=path, prefix=".probe-").close()
 
 
+def _well_typed(value, kind: type) -> bool:
+    """``value`` is of type ``kind`` exactly (so ``True`` is no int); a
+    list holds only ints, and a dict maps strings to ints."""
+    if type(value) is not kind:
+        return False
+    if kind is list:
+        return all(type(x) is int for x in value)
+    if kind is dict:
+        return all(type(k) is str and type(v) is int for k, v in value.items())
+    return True
+
+
 class ResultCache:
     """Keyed JSON store under one directory; writes are atomic and reads
     reject entries from other tool versions and cache schemas. An entry of
-    the wrong shape is a miss, with a warning. A write that fails (say, the
-    directory went away after its probe) is skipped, and the next call
-    probes its directory again."""
+    the wrong shape or element types is a miss, with a warning. A write
+    that fails (say, the directory went away after its probe) is skipped,
+    and the next call probes its directory again."""
 
     def __init__(self, root: str):
         self.root = root
@@ -111,12 +124,12 @@ class ResultCache:
 
     def lookup(self, key, fields):
         """The cached payload if it is a dict carrying every field in
-        ``fields`` (name -> type), else None: a payload without them is a
-        miss, with a warning."""
+        ``fields`` (name -> type, see ``_well_typed``), else None: a payload
+        without them is a miss, with a warning."""
         payload = self.get(key)
         if payload is None or (
             isinstance(payload, dict)
-            and all(isinstance(payload.get(k), t) for k, t in fields.items())
+            and all(_well_typed(payload.get(k), t) for k, t in fields.items())
         ):
             return payload
         return self._malformed(key)
@@ -152,15 +165,15 @@ class ResultCache:
             _probe.cache_clear()
 
 
-def _cached(args, kind: str, group: Group, params, fields, compute):
-    """Serve a canonical-class document from the cache when configured.
+def _cached(cache, kind: str, group: Group, params, fields, compute):
+    """Serve a canonical-class document from ``cache`` (or compute it, if
+    ``cache`` is None).
 
     Cached payloads are keyed on the invariant-factor spec, so handlers
     must only put class-invariant data (sorted multisets, canonical
     chains) into them. ``fields`` lists the keys (with types) the handler
     reads back; a cached payload without them is recomputed.
     """
-    cache = ResultCache.from_args(args)
     key = [kind, group.canonical_spec, params]
     if cache is not None:
         hit = cache.lookup(key, fields)
@@ -260,7 +273,8 @@ def cmd_gd(args) -> int:
         "invariants": list,
         "free_rank" if args.d == 0 else "size": int,
     }
-    document = _cached(args, "gd", group, [args.d], fields, compute)
+    cache = ResultCache.from_args(args)
+    document = _cached(cache, "gd", group, [args.d], fields, compute)
     lines = [
         f"bracket of {group.canonical_spec} at degree {args.d}",
         f"summand orders: {document['moduli']}",
@@ -303,7 +317,8 @@ def cmd_hmg(args) -> int:
 
     # only degree 0 (into Z) has a free result; see hom_invariants
     fields = {"invariants": list, "free_rank" if args.d == 0 else "order": int}
-    document = _cached(args, "hmg", group, [args.d, target_name], fields, compute)
+    cache = ResultCache.from_args(args)
+    document = _cached(cache, "hmg", group, [args.d, target_name], fields, compute)
     lines = [
         f"homogeneous functions on {group.canonical_spec}, degree {args.d}, "
         f"target {target_name}",
@@ -313,36 +328,6 @@ def cmd_hmg(args) -> int:
         lines.append(f"free rank: {document['free_rank']}")
     else:
         lines.append(f"order: {document['order']}")
-    _emit(args, document, lines)
-    return 0
-
-
-def cmd_coc(args) -> int:
-    group = parse_group_spec(args.group)
-
-    def compute():
-        kernels = cocyclic_subgroups(group)
-        profile: dict[int, int] = {}
-        for k in kernels:
-            profile[k.quotient_order] = profile.get(k.quotient_order, 0) + 1
-        report = sk1_invariants(group)
-        return {
-            "group": group.canonical_spec,
-            "count": len(kernels),
-            "quotient_profile": [[q, n] for q, n in sorted(profile.items())],
-            "coc": list(report.coc_invariants),
-            "coc_order": prod(report.coc_invariants),
-        }
-
-    fields = {"count": int, "quotient_profile": list, "coc": list, "coc_order": int}
-    document = _cached(args, "coc", group, [], fields, compute)
-    lines = [
-        f"cocyclic subgroups of {group.canonical_spec}: {document['count']}",
-        "cyclic quotient orders: "
-        + ", ".join(f"{q} (x{n})" for q, n in document["quotient_profile"]),
-        f"lattice invariants: {_chain(document['coc'])}",
-        f"lattice order: {document['coc_order']}",
-    ]
     _emit(args, document, lines)
     return 0
 
@@ -357,11 +342,41 @@ SK1_FIELDS = {
 }
 
 
+def _sk1_document(cache, group: Group) -> dict:
+    """The ``sk1`` document of ``group``: the one cache entry that ``sk1``,
+    ``coc`` and ``table`` all read and write."""
+    return _cached(
+        cache, "sk1", group, [], SK1_FIELDS, lambda: sk1_invariants(group).to_json_dict()
+    )
+
+
+def cmd_coc(args) -> int:
+    group = parse_group_spec(args.group)
+    coc = _sk1_document(ResultCache.from_args(args), group)["coc"]
+    # each kernel's quotient is cyclic, of the order of the cyclic subgroup
+    # of the dual (= G) that indexes it: the profile is the census
+    census = cyclic_subgroup_census(group)
+    document = {
+        "group": group.canonical_spec,
+        "count": sum(c for _, c in census),
+        "quotient_profile": [[m, c] for m, c in census],
+        "coc": coc,
+        "coc_order": prod(coc),
+    }
+    lines = [
+        f"cocyclic subgroups of {group.canonical_spec}: {document['count']}",
+        "cyclic quotient orders: "
+        + ", ".join(f"{q} (x{n})" for q, n in document["quotient_profile"]),
+        f"lattice invariants: {_chain(coc)}",
+        f"lattice order: {document['coc_order']}",
+    ]
+    _emit(args, document, lines)
+    return 0
+
+
 def cmd_sk1(args) -> int:
     group = parse_group_spec(args.group)
-    document = _cached(
-        args, "sk1", group, [], SK1_FIELDS, lambda: sk1_invariants(group).to_json_dict()
-    )
+    document = _sk1_document(ResultCache.from_args(args), group)
     lines = [
         f"group: {document['group']}",
         f"scalar invariants: {_chain(document['hmg'])}",
@@ -371,6 +386,13 @@ def cmd_sk1(args) -> int:
     ]
     _emit(args, document, lines)
     return 0
+
+
+def _job_int(value) -> int:
+    """A job field that must be a JSON integer: no float, bool or string."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
 
 
 def cmd_transfer(args) -> int:
@@ -384,15 +406,20 @@ def cmd_transfer(args) -> int:
         print(f"error: job file is not JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        degree = int(job["d"])
+        degree = _job_int(job["d"])
         source = parse_group_spec(str(job["source"]))
         target = parse_group_spec(str(job["target"]))
-        values = tuple(tuple(int(c) for c in v) for v in job["t_values"])
+        values = tuple(tuple(_job_int(c) for c in v) for v in job["t_values"])
         f_coords = job.get("f_coords")
+        if f_coords is not None:
+            if type(f_coords) is not list:
+                raise TypeError(f"f_coords {f_coords!r} is not a list")
+            f_coords = [_job_int(c) for c in f_coords]
     except (KeyError, TypeError, ValueError) as exc:
         print(
-            'error: job needs "d", "source", "target" and "t_values" '
-            f"(one target element per source element): {exc}",
+            'error: job needs "d" (an integer), "source", "target" and '
+            '"t_values" (one list of integers per source element), and may '
+            f'have "f_coords" (a list of integers): {exc}',
             file=sys.stderr,
         )
         return 2
@@ -426,7 +453,7 @@ def cmd_transfer(args) -> int:
             )
             return 2
         f = tuple(
-            RationalResidue.of(int(c), m) if m > 1 else RationalResidue(0, 1)
+            RationalResidue.of(c, m) if m > 1 else RationalResidue(0, 1)
             for c, m in zip(f_coords, moduli)
         )
         out = transfer_apply(mapping, f)
@@ -525,18 +552,12 @@ def _parse_primes(text: str) -> list[int]:
 def _table_row(job):
     """One CSV row (or a skip reason) for one prime instance. Top level so
     table generation can fan out one pool worker per instance."""
-    family, p, cache_root = job
+    family, p, cache = job
     try:
         group = Group(_family_factors(family, p))
     except CapExceededError as exc:
         return (p, None, str(exc))
-    cache = ResultCache(cache_root) if cache_root else None
-    key = ["sk1", group.canonical_spec, []]
-    payload = cache.lookup(key, SK1_FIELDS) if cache else None
-    if payload is None:
-        payload = sk1_invariants(group).to_json_dict()
-        if cache:
-            cache.put(key, payload)
+    payload = _sk1_document(cache, group)
     row = [
         str(p),
         payload["group"],
@@ -562,7 +583,7 @@ def cmd_table(args) -> int:
     for p in primes:
         _family_factors(args.family, p)  # fail fast on a bad template
     cache = ResultCache.from_args(args)
-    jobs = [(args.family, p, cache.root if cache else None) for p in primes]
+    jobs = [(args.family, p, cache) for p in primes]
     workers = _pool_size(args.workers, len(jobs))
     if workers > 1:
         # imported here: every other command would pay for multiprocessing

@@ -22,7 +22,6 @@ from .groups import (
     GroupElement,
     InternalInvariantError,
     cyclic_subgroups,
-    generated_record_index,
     invariant_factors_from_orders,
     sylow_decompose,
 )
@@ -64,18 +63,7 @@ def cocyclic_subgroups(group: Group) -> tuple[CocyclicSubgroup, ...]:
     )
 
 
-def _chosen_generator(group: Group, pos: int, rec, generator_choice) -> GroupElement:
-    if generator_choice is None:
-        return rec.canonical_generator
-    x = generator_choice(rec)
-    if generated_record_index(group, x) != pos:
-        raise ValueError(
-            f"{x} does not generate the subgroup of {rec.canonical_generator}"
-        )
-    return x
-
-
-def _coc_basis_rows(group: Group, generator_choice=None) -> IntMatrix:
+def _coc_basis_rows(group: Group) -> IntMatrix:
     """Per kernel K and per factor i, the extension by zero of the i-th
     coordinate character ``g -> g_i / n_i`` restricted to K.
 
@@ -84,17 +72,12 @@ def _coc_basis_rows(group: Group, generator_choice=None) -> IntMatrix:
     the whole cocyclic lattice. At a column whose cyclic subgroup C (with
     generator x of order c) lies in K, that is chi(x) = 0, the entry is
     ``x_i * c / n_i`` mod c; elsewhere it is 0.
-
-    ``generator_choice`` (a map from cyclic-subgroup record to a generator
-    of it) re-bases the column identifications; invariants downstream must
-    not depend on it.
     """
     e = group.exponent
     factors = group.factor_orders
     weights = [e // n for n in factors]
     columns = [
-        (_chosen_generator(group, pos, rec, generator_choice), rec.subgroup_order)
-        for pos, rec in enumerate(cyclic_subgroups(group))
+        (rec.canonical_generator, rec.subgroup_order) for rec in cyclic_subgroups(group)
     ]
     rows: IntMatrix = []
     for k in cocyclic_subgroups(group):
@@ -141,27 +124,17 @@ class SK1Report:
         }
 
 
-def sk1_invariants(group: Group, generator_choice=None) -> SK1Report:
+@lru_cache(maxsize=None)
+def sk1_invariants(group: Group) -> SK1Report:
     """The quotient of scalar homogeneous functions by the cocyclic lattice.
 
     Computed as the cokernel of the generator matrix in the ambient
     ``+ Z/|C|``. Even orders are computed too but flagged: the group-ring
     identification is only available for odd groups.
     """
-    if generator_choice is None:
-        return _sk1_invariants_default(group)
-    return _sk1_compute(group, generator_choice)
-
-
-@lru_cache(maxsize=None)
-def _sk1_invariants_default(group: Group) -> SK1Report:
-    return _sk1_compute(group, None)
-
-
-def _sk1_compute(group: Group, generator_choice) -> SK1Report:
     moduli = [rec.subgroup_order for rec in cyclic_subgroups(group)]
     hmg = hom_invariants(graded_presentation(group, 1), Target.QZ)
-    rows = _coc_basis_rows(group, generator_choice)
+    rows = _coc_basis_rows(group)
     quotient, coc = lattice_invariants(rows, moduli)
     if prod(hmg) != prod(coc) * prod(quotient):
         raise InternalInvariantError(

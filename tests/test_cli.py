@@ -59,6 +59,28 @@ class TestExitCodes:
         assert code == 2
         assert "t_values" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("f_coords", 5),
+            ("f_coords", "12"),
+            ("f_coords", [1.5, 2]),
+            ("d", 1.5),
+            ("d", True),
+            ("t_values", [[0], [3.0], [6]]),
+        ],
+        ids=["f-int", "f-string", "f-float", "d-float", "d-bool", "t-float"],
+    )
+    def test_job_fields_must_be_integers(self, field, value, tmp_path, capsys):
+        job = tmp_path / "job.json"
+        fields = {"d": 1, "source": "3", "target": "9",
+                  "t_values": [[0], [3], [6]], "f_coords": [0, 1]}
+        job.write_text(json.dumps({**fields, field: value}))
+        code, out, err = run_cli(["transfer", "--job", str(job)], capsys)
+        assert (code, out) == (2, "")
+        assert "not an integer" in err or "not a list" in err
+        assert '"f_coords"' in err and "Traceback" not in err
+
     def test_missing_job_file(self, capsys):
         code, _, err = run_cli(["transfer", "--job", "/no/such/file"], capsys)
         assert code == 2
@@ -69,11 +91,11 @@ class TestExitCodes:
         monkeypatch.setattr(
             homok.cocyclic, "lattice_invariants", lambda r, m: ((3,), real(r, m)[1])
         )
-        homok.cocyclic._sk1_invariants_default.cache_clear()
+        homok.cocyclic.sk1_invariants.cache_clear()
         try:
             code, out, err = run_cli(["sk1", "--group", "9"], capsys)
         finally:
-            homok.cocyclic._sk1_invariants_default.cache_clear()
+            homok.cocyclic.sk1_invariants.cache_clear()
         assert code == 1
         assert out == ""
         assert "order bookkeeping" in err and "please report" in err
@@ -494,21 +516,34 @@ class TestCache:
         assert len(list(cachedir.iterdir())) == 1
         assert run_cli(argv + ["--cache", str(cachedir)], capsys) == (0, want, "")
 
-    def _corrupt_and_rerun(self, tmp_path, capsys, corrupt):
-        cachedir = tmp_path / "cache"
-        argv = ["sk1", "--group", "3,3,3", "--json", "--cache", str(cachedir)]
-        _, first, _ = run_cli(argv, capsys)
-        (path,) = cachedir.iterdir()
+    # sk1, coc and table on 3,3,3 share one cache entry, the sk1 document
+    SK1 = ["sk1", "--group", "3,3,3", "--json"]
+    COC = ["coc", "--group", "3,3,3", "--json"]
+    TABLE = ["table", "--family", "p^3", "--primes", "3", "--out", "-"]
+
+    def _corrupt_and_rerun(self, tmp_path, capsys, corrupt, reader=SK1):
+        cache = ["--cache", str(tmp_path / "cache")]
+        _, want, _ = run_cli(reader, capsys)
+        assert run_cli(self.SK1 + cache, capsys)[0] == 0
+        (path,) = (tmp_path / "cache").iterdir()
         entry = json.loads(path.read_text())
         path.write_text(json.dumps(corrupt(entry)))
-        code, second, err = run_cli(argv, capsys)
+        code, second, err = run_cli(reader + cache, capsys)
         assert code == 0
-        assert second == first
+        assert second == want
         assert err.count("\n") == 1 and "malformed cache entry" in err
         # the entry was rewritten: the next call is a quiet hit
         assert json.loads(path.read_text()) == entry
-        code, third, err = run_cli(argv, capsys)
-        assert (code, third, err) == (0, first, "")
+        assert run_cli(reader + cache, capsys) == (0, want, "")
+
+    @staticmethod
+    def _set_field(field, value):
+        def corrupt(entry):
+            entry = json.loads(json.dumps(entry))
+            entry["payload"][field] = value
+            return entry
+
+        return corrupt
 
     def test_payload_missing_a_field_is_a_miss(self, tmp_path, capsys):
         def drop_hmg(entry):
@@ -520,6 +555,41 @@ class TestCache:
 
     def test_entry_that_is_a_list_is_a_miss(self, tmp_path, capsys):
         self._corrupt_and_rerun(tmp_path, capsys, lambda entry: [entry])
+
+    @pytest.mark.parametrize(
+        "reader, field, value",
+        [
+            (SK1, "sk1", [True]),
+            (SK1, "hmg", [3, "3"]),
+            (SK1, "q_counts", {"3": "13"}),
+            (SK1, "theorem_4_1_applies", 1),
+            (COC, "coc", [True]),
+            (TABLE, "sk1", [True]),
+        ],
+        ids=["sk1-bool", "hmg-str", "q_counts-str", "flag-int", "coc-bool", "table"],
+    )
+    def test_field_of_wrong_element_type_is_a_miss(
+        self, reader, field, value, tmp_path, capsys
+    ):
+        self._corrupt_and_rerun(tmp_path, capsys, self._set_field(field, value), reader)
+
+    def test_coc_recomputes_a_corrupted_sk1_entry(self, tmp_path, capsys):
+        self._corrupt_and_rerun(tmp_path, capsys, self._set_field("coc", 5), self.COC)
+
+    def test_coc_and_table_reuse_the_sk1_entry(self, tmp_path, capsys, monkeypatch):
+        cachedir = tmp_path / "cache"
+        cache = ["--cache", str(cachedir)]
+        _, want_coc, _ = run_cli(self.COC, capsys)
+        _, want_table, _ = run_cli(self.TABLE, capsys)
+        assert run_cli(self.SK1 + cache, capsys)[0] == 0
+
+        def refuse(group):
+            raise AssertionError("the sk1 entry was not reused")
+
+        monkeypatch.setattr(cli, "sk1_invariants", refuse)
+        assert run_cli(self.COC + cache, capsys) == (0, want_coc, "")
+        assert run_cli(self.TABLE + cache, capsys) == (0, want_table, "")
+        assert len(list(cachedir.iterdir())) == 1
 
     def test_entry_of_another_schema_is_a_silent_miss(
         self, tmp_path, capsys, monkeypatch

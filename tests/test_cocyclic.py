@@ -1,14 +1,15 @@
 """Cocyclic subgroups, the generator lattice, and the quotient invariants."""
 
 import itertools
+from dataclasses import replace
 from math import prod
 
 import pytest
 
+import homok.cocyclic
 from homok import snf
 from homok.cocyclic import (
     _coc_basis_rows,
-    _sk1_invariants_default,
     cocyclic_subgroups,
     sk1_invariants,
     sk1_sylow_check,
@@ -164,11 +165,6 @@ class TestGeneratorMatrix:
             assert {tuple(r) for r in rows} <= full
             assert full <= span_in_ambient(rows, moduli)
 
-    def test_generator_choice_is_validated(self):
-        g = Group((9,))
-        with pytest.raises(ValueError, match="generate"):
-            sk1_invariants(g, generator_choice=lambda rec: (0,))
-
 
 def gf_rank(rows, p):
     """Row rank over the field with p elements (p prime)."""
@@ -238,21 +234,41 @@ class TestQuotientInvariants:
                 r.quotient_invariants
             )
 
-    def test_generator_choice_cannot_move_the_answer(self):
-        def last_generator(rec):
-            g = Group((3, 3, 3))
-            multiples = (
-                g.scale(m, rec.canonical_generator) for m in range(rec.subgroup_order)
-            )
-            return max(
-                (h for h in multiples
-                 if element_order(g, h) == rec.subgroup_order),
-            )
+    def test_column_generators_cannot_move_the_answer(self, monkeypatch):
+        # re-base every column (and every kernel's character) on the largest
+        # generator of its cyclic subgroup, keeping orders and positions:
+        # the quotient and lattice chains must not move
+        specs = [(3, 3, 3), (9, 3), (5, 25), (2, 4, 4), (3, 15)]
+        base = {spec: sk1_invariants(Group(spec)) for spec in specs}
 
-        base = sk1_invariants(Group((3, 3, 3)))
-        alt = sk1_invariants(Group((3, 3, 3)), generator_choice=last_generator)
-        assert alt.quotient_invariants == base.quotient_invariants
-        assert alt.coc_invariants == base.coc_invariants
+        def largest_generators(group):
+            out = []
+            for rec in cyclic_subgroups(group):
+                multiples = (
+                    group.scale(m, rec.canonical_generator)
+                    for m in range(rec.subgroup_order)
+                )
+                largest = max(
+                    h for h in multiples if element_order(group, h) == rec.subgroup_order
+                )
+                out.append(replace(rec, canonical_generator=largest))
+            return tuple(out)
+
+        assert any(
+            largest_generators(Group(spec)) != cyclic_subgroups(Group(spec))
+            for spec in specs
+        )
+        monkeypatch.setattr(homok.cocyclic, "cyclic_subgroups", largest_generators)
+        sk1_invariants.cache_clear()
+        cocyclic_subgroups.cache_clear()
+        try:
+            for spec in specs:
+                alt = sk1_invariants(Group(spec))
+                assert alt.quotient_invariants == base[spec].quotient_invariants
+                assert alt.coc_invariants == base[spec].coc_invariants
+        finally:
+            sk1_invariants.cache_clear()
+            cocyclic_subgroups.cache_clear()
 
     def test_never_reaches_the_generic_smith(self, monkeypatch):
         # (quotient, lattice) chains as the Hermite + Smith route gave them
@@ -266,13 +282,13 @@ class TestQuotientInvariants:
             raise AssertionError("sk1 reached the generic Smith form")
 
         monkeypatch.setattr(snf, "_smith", refuse)
-        _sk1_invariants_default.cache_clear()
+        sk1_invariants.cache_clear()
         try:
             for spec, chains in expected.items():
                 report = sk1_invariants(Group(spec))
                 assert (report.quotient_invariants, report.coc_invariants) == chains
         finally:
-            _sk1_invariants_default.cache_clear()
+            sk1_invariants.cache_clear()
 
     def test_json_shape(self):
         doc = sk1_invariants(Group((9, 3, 5))).to_json_dict()
