@@ -11,6 +11,7 @@ usage errors (bad flags, malformed group specs or job files).
 
 from __future__ import annotations
 
+import _thread
 import argparse
 import csv
 import functools
@@ -49,6 +50,10 @@ from .verify import DEEP_ORACLE, available_suites, run_suite
 # payload changes, so results of the old code are never served: entries
 # written under another schema are silent misses.
 CACHE_SCHEMA = 3
+
+# a temp file planted as a symlink is not written through, where the
+# platform can refuse one
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,18 +153,19 @@ class ResultCache:
             "tool_version": __version__,
             "payload": payload,
         }
-        tmp = None
+        data = json.dumps(entry, sort_keys=True).encode()
+        path = self._path(key)
+        # one temp name per process and thread: a thread has one put at a time
+        tmp = f"{path}.{os.getpid()}.{_thread.get_ident()}.tmp"
         try:
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True)
-            os.replace(tmp, self._path(key))
+            with open(os.open(tmp, _TMP_FLAGS, 0o600), "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
         except OSError:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
             # the directory may have gone away since its probe: probe again
             # on the next call, which recreates it or warns
             _probe.cache_clear()
@@ -481,6 +487,18 @@ def cmd_verify(args) -> int:
         result = run_suite(
             name, fail_fast=True, kmax=args.kmax, dmax=args.dmax, seed=args.seed
         )
+        if result.checks == 0:
+            bounds = " ".join(
+                f"--{flag} {value}"
+                for flag, value in (("kmax", args.kmax), ("dmax", args.dmax))
+                if value is not None
+            )
+            print(
+                f"error: suite {name} runs no checks with "
+                f"{bounds or 'its default bounds'}",
+                file=sys.stderr,
+            )
+            return 2
         reports.append(
             {
                 "suite": name,
@@ -582,20 +600,25 @@ def cmd_table(args) -> int:
     primes = _parse_primes(args.primes)
     for p in primes:
         _family_factors(args.family, p)  # fail fast on a bad template
-    cache = ResultCache.from_args(args)
-    jobs = [(args.family, p, cache) for p in primes]
-    workers = _pool_size(args.workers, len(jobs))
-    if workers > 1:
-        # imported here: every other command would pay for multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_table_row, jobs))
-    else:
-        results = [_table_row(job) for job in jobs]
-
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    # opened before any row is computed, so a bad path costs no work
     try:
+        out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot open --out {args.out!r}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        cache = ResultCache.from_args(args)
+        jobs = [(args.family, p, cache) for p in primes]
+        workers = _pool_size(args.workers, len(jobs))
+        if workers > 1:
+            # imported here: every other command would pay for multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_table_row, jobs))
+        else:
+            results = [_table_row(job) for job in jobs]
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["prime", "group", "hmg", "coc_order", "sk1",
                          "theorem_4_1_applies"])

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import prod
+from operator import mul
 
 from .bracket import Target, graded_presentation, hom_invariants
 from .groups import (
@@ -72,26 +74,42 @@ def _coc_basis_rows(group: Group) -> IntMatrix:
     the whole cocyclic lattice. At a column whose cyclic subgroup C (with
     generator x of order c) lies in K, that is chi(x) = 0, the entry is
     ``x_i * c / n_i`` mod c; elsewhere it is 0.
+
+    Kernels and columns are indexed by the same generators, and the test
+    "<x> lies in ker chi_y", ``sum_i y_i x_i e / n_i = 0 (mod e)``, is
+    symmetric in x and y: each pair is tested once, and a row is filled
+    only at the columns inside its kernel.
     """
     e = group.exponent
     factors = group.factor_orders
     weights = [e // n for n in factors]
-    columns = [
-        (rec.canonical_generator, rec.subgroup_order) for rec in cyclic_subgroups(group)
+    records = cyclic_subgroups(group)
+    q = len(records)
+    gens = [rec.canonical_generator for rec in records]
+    # inside[j * q + l]: <gens[l]> lies in the kernel indexed by gens[j]
+    inside = bytearray(q * q)
+    for j, y in enumerate(gens):
+        weighted = list(map(mul, y, weights))
+        hits = bytes(sum(map(mul, weighted, x)) % e == 0 for x in gens[j:])
+        inside[j * q + j : (j + 1) * q] = hits
+        inside[j * q + j :: q] = hits
+    # entries[i][l]: the i-th coordinate character at column l
+    entries = [
+        [(x[i] * rec.subgroup_order // n) % rec.subgroup_order
+         for x, rec in zip(gens, records)]
+        for i, n in enumerate(factors)
     ]
+    column_of = {x: l for l, x in enumerate(gens)}
     rows: IntMatrix = []
     for k in cocyclic_subgroups(group):
-        weighted = [c * w for c, w in zip(k.character, weights)]
-        inside = [
-            sum(a * b for a, b in zip(weighted, x)) % e == 0 for x, _ in columns
-        ]
-        for i, n in enumerate(factors):
-            rows.append(
-                [
-                    (x[i] * c // n) % c if hit else 0
-                    for (x, c), hit in zip(columns, inside)
-                ]
-            )
+        j = column_of[k.character]
+        mask = inside[j * q : (j + 1) * q]
+        columns = list(compress(range(q), mask))
+        for values in entries:
+            row = [0] * q
+            for l, v in zip(columns, compress(values, mask)):
+                row[l] = v
+            rows.append(row)
     return rows
 
 

@@ -330,6 +330,26 @@ class TestVerifyCommand:
         assert code == 2
         assert "does not take" in err
 
+    @pytest.mark.parametrize(
+        "bounds, named",
+        [
+            (["--kmax", "-3"], "--kmax -3"),
+            (["--kmax", "0", "--dmax", "0"], "--kmax 0 --dmax 0"),
+        ],
+        ids=["kmax-negative", "both-zero"],
+    )
+    def test_bounds_that_select_no_checks_exit_2(self, bounds, named, capsys):
+        code, out, err = run_cli(["verify", "--suite", "lemma211", *bounds], capsys)
+        assert code == 2
+        assert out == ""
+        assert "suite lemma211 runs no checks" in err and named in err
+
+    def test_empty_synthetic_suite_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "empty", lambda: iter(()))
+        code, _, err = run_cli(["verify", "--suite", "empty"], capsys)
+        assert code == 2
+        assert "runs no checks with its default bounds" in err
+
     def test_failing_suite_prints_counterexample(self, capsys, monkeypatch):
         def synthetic():
             yield True, "fine"
@@ -455,6 +475,40 @@ class TestCache:
         assert cache.get(key) == payload
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_entry_bytes_and_mode(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        key = ["sk1", "3,3,3", []]
+        payload = {"sk1": [3, 3, 3], "q_counts": {"3": 13}}
+        cache.put(key, payload)
+        (path,) = tmp_path.iterdir()
+        entry = {
+            "key": key,
+            "schema": cli.CACHE_SCHEMA,
+            "tool_version": cli.__version__,
+            "payload": payload,
+        }
+        # the format every version writes and reads: entries stay shared
+        assert path.read_bytes() == json.dumps(entry, sort_keys=True).encode()
+        assert path.stat().st_mode & 0o777 == 0o600
+
+    @pytest.mark.skipif(not hasattr(os, "O_NOFOLLOW"), reason="no O_NOFOLLOW")
+    def test_symlink_at_the_temp_name_is_not_followed(self, tmp_path, capsys):
+        cachedir = tmp_path / "cache"
+        argv = ["sk1", "--group", "3,3,3", "--cache", str(cachedir)]
+        _, want, _ = run_cli(["sk1", "--group", "3,3,3"], capsys)
+        victim = tmp_path / "victim"
+        victim.write_text("untouched")
+        cachedir.mkdir()
+        path = ResultCache(str(cachedir))._path(["sk1", "3,3,3", []])
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        os.symlink(victim, tmp)
+        assert run_cli(argv, capsys) == (0, want, "")
+        assert victim.read_text() == "untouched"
+        assert list(cachedir.iterdir()) == []
+        # the skipped write left nothing behind; the next call caches
+        assert run_cli(argv, capsys) == (0, want, "")
+        assert [p.suffix for p in cachedir.iterdir()] == [".json"]
 
     def test_unwritable_directory_warns_and_disables(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -680,6 +734,18 @@ class TestTable:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unopenable_out_fails_before_any_row(self, tmp_path, capsys, monkeypatch):
+        def refuse(group):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, "sk1_invariants", refuse)
+        out = tmp_path / "missing" / "t.csv"
+        code, stdout, err = run_cli(
+            ["table", "--family", "p", "--primes", "3", "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: cannot open --out")
 
     def test_family_grammar(self):
         assert _family_factors("p", 5) == [5]

@@ -165,6 +165,25 @@ class TestGeneratorMatrix:
             assert {tuple(r) for r in rows} <= full
             assert full <= span_in_ambient(rows, moduli)
 
+    def test_rows_match_the_definition(self):
+        # independent of the pairing table: a column is inside a kernel when
+        # its generator is among the kernel's members, found by evaluating
+        # the character on every element
+        for g in all_abelian_groups(200):
+            columns = cyclic_subgroups(g)
+            want = []
+            for k in cocyclic_subgroups(g):
+                members = set(kernel_members(g, k))
+                inside = [g.element_index(rec.canonical_generator) in members
+                          for rec in columns]
+                for i, n in enumerate(g.factor_orders):
+                    want.append([
+                        (rec.canonical_generator[i] * rec.subgroup_order // n)
+                        % rec.subgroup_order if hit else 0
+                        for rec, hit in zip(columns, inside)
+                    ])
+            assert _coc_basis_rows(g) == want, g.spec
+
 
 def gf_rank(rows, p):
     """Row rank over the field with p elements (p prime)."""
