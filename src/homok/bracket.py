@@ -49,8 +49,8 @@ class GradedPresentation:
     canonical cyclic-subgroup order (by order, then generator). For
     ``degree == 0`` the bracket is free: moduli are all 0 and ``free_rank``
     is the cyclic subgroup count; otherwise ``free_rank`` is 0 and all
-    moduli are >= 1. ``records`` and ``summands`` name the generators and
-    run the element scan on first use.
+    moduli are >= 1. ``summands`` names the generators and runs the element
+    scan on first use.
     """
 
     group: Group
@@ -58,15 +58,11 @@ class GradedPresentation:
     moduli: tuple[int, ...]
     free_rank: int
 
-    @property
-    def records(self) -> tuple[CyclicSubgroupRecord, ...]:
-        return cyclic_subgroups(self.group)
-
     @cached_property
     def summands(self) -> tuple[tuple[CyclicSubgroupRecord, int], ...]:
         """``(record, modulus)`` pairs; the scan's record orders must be the
         census the moduli were built from."""
-        records = self.records
+        records = cyclic_subgroups(self.group)
         orders = [rec.subgroup_order for rec in records]
         census = cyclic_subgroup_census(self.group)
         if orders != [m for m, c in census for _ in range(c)]:

@@ -5,8 +5,9 @@ scalar function groups, the cocyclic lattice and its quotient, transfer
 jobs, the verification suites, and CSV tables over prime families.
 
 Exit codes: 0 on success, 1 on computation failures (cap exceeded, a
-refused transfer job, a failing suite, a broken internal check), 2 on
-usage errors (bad flags, malformed group specs or job files).
+refused transfer job, a failing suite, an oracle out of terms, a broken
+internal check), 2 on usage errors (bad flags, malformed group specs or
+job files).
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .groups import (
     invariant_factors_from_orders,
     parse_group_spec,
 )
-from .orders import higher_order, higher_order_oracle
+from .orders import OracleStabilizationError, higher_order, higher_order_oracle
 from .transfer import TransferError, induced_graded_map, transfer_apply
-from .verify import DEEP_ORACLE, available_suites, run_suite
+from .verify import available_suites, run_suite
 
 
 # -- result cache -----------------------------------------------------------
@@ -244,7 +245,7 @@ def cmd_od(args) -> int:
     if not args.oracle:
         _emit(args, document, [f"o_{args.d}({args.k}) = {closed}"])
         return 0
-    sampled = higher_order_oracle(args.d, args.k, DEEP_ORACLE)
+    sampled = higher_order_oracle(args.d, args.k)
     agree = sampled == closed
     document["oracle"] = sampled
     document["agree"] = agree
@@ -306,6 +307,10 @@ def _parse_target(text: str):
 def cmd_hmg(args) -> int:
     group = parse_group_spec(args.group)
     target, target_name = _parse_target(args.target)
+    if args.d == 0 and target is not Target.Z:
+        raise ValueError(
+            "degree-0 homogeneous functions take values in Z; pass --target Z"
+        )
 
     def compute():
         invariants = hom_invariants(graded_presentation(group, args.d), target)
@@ -746,10 +751,7 @@ def main(argv=None) -> int:
     except GroupSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TransferError as exc:
+    except (CapExceededError, OracleStabilizationError, TransferError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalInvariantError as exc:

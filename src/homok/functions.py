@@ -20,7 +20,6 @@ from .groups import (
     QZ_ZERO,
     RationalResidue,
     element_order,
-    parse_group_spec,
 )
 
 
@@ -65,15 +64,6 @@ class FunctionTable:
 
     def value_at(self, g: GroupElement):
         return self.values[self.domain.element_index(g)]
-
-    def is_zero(self) -> bool:
-        zero = self.zero_value()
-        return all(v == zero for v in self.values)
-
-    def zero_value(self):
-        if self.codomain is not None:
-            return self.codomain.zero
-        return 0 if self.degree == 0 else QZ_ZERO
 
 
 def zero_table(domain: Group, degree: int, codomain: Group | None = None) -> FunctionTable:
@@ -260,66 +250,3 @@ def to_coordinates(table: FunctionTable) -> tuple:
         out.append(v)
     return tuple(out)
 
-
-def pointwise_combine(tables, weights, check: bool = False) -> FunctionTable:
-    """Integer combination ``sum w_i * f_i`` pointwise."""
-    tables = list(tables)
-    weights = [int(w) for w in weights]
-    if not tables:
-        raise ValueError("need at least one table")
-    if len(tables) != len(weights):
-        raise ValueError("one weight per table")
-    head = tables[0]
-    for t in tables[1:]:
-        if t.domain != head.domain or t.degree != head.degree or t.codomain != head.codomain:
-            raise ValueError("tables must share domain, degree and codomain")
-    values = []
-    for i in range(head.domain.order):
-        acc = head.zero_value()
-        for t, w in zip(tables, weights):
-            v = t.values[i]
-            if head.codomain is not None:
-                acc = head.codomain.add(acc, head.codomain.scale(w, v))
-            elif head.degree == 0:
-                acc = acc + w * v
-            else:
-                acc = acc + w * v  # integer times residue
-        values.append(acc)
-    out = FunctionTable(head.domain, head.degree, tuple(values), head.codomain)
-    if check:
-        report = is_homogeneous(out)
-        if not report.homogeneous:
-            raise InternalInvariantError(
-                f"pointwise_combine built a table that is not homogeneous: "
-                f"{report.detail}"
-            )
-    return out
-
-
-def table_to_json_dict(table: FunctionTable) -> dict:
-    """JSON form of a scalar table: values as [num, den] pairs in element
-    index order (degree 0 uses [value, 1])."""
-    if table.codomain is not None:
-        raise ValueError("only scalar tables have a JSON table form")
-    if table.degree == 0:
-        pairs = [[v, 1] for v in table.values]
-    else:
-        pairs = [[v.num, v.den] for v in table.values]
-    return {"group": table.domain.spec, "degree": table.degree, "values": pairs}
-
-
-def table_from_json_dict(doc: dict, cap: int | None = None) -> FunctionTable:
-    kwargs = {} if cap is None else {"cap": cap}
-    group = parse_group_spec(str(doc["group"]), **kwargs)
-    degree = int(doc["degree"])
-    raw = doc["values"]
-    if degree == 0:
-        values = []
-        for pair in raw:
-            num, den = int(pair[0]), int(pair[1])
-            if den != 1:
-                raise ValueError("degree-0 values must be integers ([num, 1])")
-            values.append(num)
-    else:
-        values = [RationalResidue.of(int(p[0]), int(p[1])) for p in raw]
-    return FunctionTable(group, degree, tuple(values))

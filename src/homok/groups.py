@@ -184,16 +184,8 @@ class Group:
         ):
             raise ValueError(f"{g} is not an element of Z/{self.spec}")
 
-    def reduce(self, g) -> GroupElement:
-        if len(g) != len(self.factor_orders):
-            raise ValueError(f"{g} has the wrong rank for Z/{self.spec}")
-        return tuple(x % n for x, n in zip(g, self.factor_orders))
-
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.factor_orders))
-
-    def neg(self, a: GroupElement) -> GroupElement:
-        return tuple((-x) % n for x, n in zip(a, self.factor_orders))
 
     def scale(self, m: int, a: GroupElement) -> GroupElement:
         return tuple((m * x) % n for x, n in zip(a, self.factor_orders))
@@ -372,16 +364,6 @@ def sylow_decompose(group: Group) -> list[SylowPart]:
             SylowPart(p, p_part, complement, cyclic_subgroup_count(complement))
         )
     return parts
-
-
-def character_value(group: Group, chi: GroupElement, g: GroupElement) -> RationalResidue:
-    """Value in Q/Z of the character indexed by ``chi`` at ``g``:
-    ``sum_i chi_i * g_i / n_i``."""
-    group.validate_element(chi)
-    group.validate_element(g)
-    e = group.exponent
-    num = sum(c * x * (e // n) for c, x, n in zip(chi, g, group.factor_orders))
-    return RationalResidue.of(num, e)
 
 
 def _partitions(n: int, largest: int | None = None):

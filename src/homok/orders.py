@@ -57,18 +57,24 @@ def higher_order_oracle(d: int, k: int, policy: OraclePolicy = OraclePolicy()) -
     Folds ``gcd`` over ``u**|d| - 1`` for ``u = 1 + k, 1 + 2k, ...`` (the
     order is insensitive to the sign of d). Raises
     ``OracleStabilizationError`` if the fold is still moving at
-    ``max_terms``.
+    ``max_terms``, or up front if ``max_terms`` is below |d| + 1.
 
-    The stopping rule is a heuristic window, so size the policy to d: any
-    prime p with ``p - 1`` dividing d divides every sampled term until some
-    ``u`` is a multiple of p, which can take up to p steps. Choose
-    ``min_terms`` comfortably past the largest such prime (~d + 1); the
-    defaults are fine for |d| up to about 15.
+    The stopping window may close only after |d| + 1 terms (or
+    ``min_terms``, if more). Modulo a prime p not dividing k, the first
+    |d| + 1 values of ``u`` are distinct (or cover every residue), and at
+    most |d| residues solve ``x**|d| = 1``, so no such p survives them; the
+    window then only settles the valuations of the primes of k.
     """
     _validate_k(k)
     if d == 0:
         return 0
     e = abs(d)
+    if policy.max_terms < e + 1:
+        raise OracleStabilizationError(
+            f"gcd for d={d} needs at least {e + 1} terms, over the budget "
+            f"of {policy.max_terms}"
+        )
+    min_terms = max(policy.min_terms, e + 1)
     value = 0
     unchanged = 0
     for i in range(1, policy.max_terms + 1):
@@ -76,7 +82,7 @@ def higher_order_oracle(d: int, k: int, policy: OraclePolicy = OraclePolicy()) -
         new = gcd(value, u**e - 1)
         unchanged = unchanged + 1 if new == value else 0
         value = new
-        if i >= policy.min_terms and unchanged >= policy.stable_window:
+        if i >= min_terms and unchanged >= policy.stable_window:
             return value
     raise OracleStabilizationError(
         f"gcd for d={d}, k={k} still changing after {policy.max_terms} terms"

@@ -57,14 +57,6 @@ class InducedGradedMap:
     sections: tuple[tuple[int, int] | None, ...]
     kernel_size: int
 
-    @property
-    def hit(self) -> tuple[int, ...]:
-        return tuple(j for j, s in enumerate(self.sections) if s is not None)
-
-    @property
-    def missed(self) -> tuple[int, ...]:
-        return tuple(j for j, s in enumerate(self.sections) if s is None)
-
 
 def induced_graded_map(table: FunctionTable) -> InducedGradedMap:
     """Build and audit the bracket map of a homogeneous t: G -> G'."""
@@ -163,17 +155,6 @@ def _audit_relations(
                     f"degree {d}: target coordinates ({j1}, {c1}) vs "
                     f"({j0}, {rhs})"
                 )
-
-
-def bracket_image(mapping: InducedGradedMap, vec) -> tuple[int, ...]:
-    """Image under t of a source coordinate vector."""
-    moduli = mapping.target.moduli
-    if len(vec) != len(mapping.images):
-        raise ValueError("source vector has the wrong length")
-    out = [0] * len(moduli)
-    for y, (j, v) in zip(vec, mapping.images):
-        out[j] = (out[j] + y * v) % moduli[j]
-    return tuple(out)
 
 
 def _validate_hom(coords, moduli, what: str) -> list[RationalResidue]:

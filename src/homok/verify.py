@@ -28,7 +28,7 @@ from .groups import (
     invariant_factors_from_orders,
 )
 from .oracles import count_homogeneous_tables
-from .orders import OraclePolicy, higher_order, higher_order_oracle, vp_factorial
+from .orders import higher_order, higher_order_oracle, vp_factorial
 from .transfer import (
     TransferError,
     induced_graded_map,
@@ -36,10 +36,6 @@ from .transfer import (
     pullback,
     transfer_apply,
 )
-
-# enough history for the gcd fold to see every prime p with p-1 | d for
-# |d| <= 24 (the defaults are tuned for small d; see higher_order_oracle)
-DEEP_ORACLE = OraclePolicy(min_terms=64, stable_window=16, max_terms=512)
 
 MAX_K = 60
 MAX_D = 24
@@ -145,7 +141,7 @@ def order_identities(kmax: int = MAX_K, dmax: int = MAX_D):
                 if p % 2
                 else k * gcd(2, k) ** (s - 1) * gcd(4, 2 + k)
             )
-            sampled = higher_order_oracle(p**s, k, DEEP_ORACLE)
+            sampled = higher_order_oracle(p**s, k)
             yield higher_order(p**s, k) == stated == sampled, (
                 f"o_{p**s}({k}): closed form {higher_order(p ** s, k)}, "
                 f"stated {stated}, gcd fold {sampled}"

@@ -25,7 +25,7 @@ from homok.snf import (
     matmul,
     smith_normal_form,
 )
-from homok.verify import DEEP_ORACLE, available_suites, run_suite
+from homok.verify import available_suites, run_suite
 
 START = time.monotonic()
 
@@ -39,9 +39,7 @@ def _report(number: int, ok: bool, label: str, seconds: float) -> None:
 def test_criterion_01_first_order_is_the_order():
     t0 = time.monotonic()
     ok = all(higher_order(1, k) == k for k in range(1, 501))
-    ok = ok and all(
-        higher_order_oracle(1, k, DEEP_ORACLE) == k for k in range(1, 501)
-    )
+    ok = ok and all(higher_order_oracle(1, k) == k for k in range(1, 501))
     elapsed = time.monotonic() - t0
     _report(1, ok and elapsed < 1.0, "o_1(k) = k for k <= 500", elapsed)
 
@@ -51,7 +49,7 @@ def test_criterion_02_closed_form_vs_oracle():
     ok = True
     for k in range(1, 61):
         for d in itertools.chain(range(1, 25), range(-24, 0)):
-            if higher_order(d, k) != higher_order_oracle(d, k, DEEP_ORACLE):
+            if higher_order(d, k) != higher_order_oracle(d, k):
                 ok = False
     elapsed = time.monotonic() - t0
     _report(2, ok and elapsed < 60, "closed form = sampled gcd fold, k<=60 |d|<=24", elapsed)

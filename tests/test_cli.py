@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +208,16 @@ class TestDocuments:
         assert code == 0
         assert out.strip() == "closed form 9, oracle 9, agreement true"
 
+    def test_od_oracle_outlasts_the_primes_of_the_degree(self, capsys):
+        # 67 - 1 divides 66, so 67 divides the first 66 terms of the fold
+        code, out, _ = run_cli(["od", "--d", "66", "--k", "1", "--oracle"], capsys)
+        assert (code, out) == (0, "closed form 1, oracle 1, agreement true\n")
+
+    def test_od_oracle_over_its_budget_exits_1(self, capsys):
+        code, out, err = run_cli(["od", "--d", "600", "--k", "3", "--oracle"], capsys)
+        assert (code, out) == (1, "")
+        assert "at least 601 terms" in err and "budget of 512" in err
+
     def test_od_json(self, capsys):
         code, out, _ = run_cli(
             ["od", "--d", "3", "--k", "3", "--oracle", "--json"], capsys
@@ -233,9 +244,11 @@ class TestDocuments:
         assert doc["order"] == 3**7
 
     def test_degree_zero_needs_integer_target(self, capsys):
-        code, _, err = run_cli(["hmg", "--group", "4", "--d", "0"], capsys)
-        assert code == 2
-        assert "Target.Z" in err
+        for target in ([], ["--target", "27"]):
+            argv = ["hmg", "--group", "4", "--d", "0", *target]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert "pass --target Z" in err
         code, out, _ = run_cli(
             ["hmg", "--group", "4", "--d", "0", "--target", "Z", "--json"], capsys
         )
@@ -447,10 +460,10 @@ class TestCache:
         cache = ResultCache(str(tmp_path))
         key = ["sk1", "27", []]
         cache.put(key, {"x": 1})
-        path = cache._path(key)
-        entry = json.loads(open(path).read())
+        path = Path(cache._path(key))
+        entry = json.loads(path.read_text())
         entry["tool_version"] = "0.0.0-other"
-        open(path, "w").write(json.dumps(entry))
+        path.write_text(json.dumps(entry))
         assert cache.get(key) is None
 
     def test_key_collision_rejected(self, tmp_path):

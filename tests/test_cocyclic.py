@@ -41,15 +41,38 @@ def brute_kernels(group: Group):
     return kernels
 
 
+def pairing(group: Group, chi, g) -> int:
+    """The character indexed by ``chi`` at ``g``, ``sum_i chi_i g_i / n_i``
+    in Q/Z, as its numerator over the exponent e."""
+    e = group.exponent
+    return sum(c * x * (e // n) for c, x, n in zip(chi, g, group.factor_orders)) % e
+
+
 def kernel_members(group: Group, k) -> tuple[int, ...]:
     """Element indices g with k.character(g) = 0, by direct evaluation."""
-    e = group.exponent
-    factors = group.factor_orders
     return tuple(
         idx
         for idx, g in enumerate(group.elements())
-        if sum(c * x * (e // n) for c, x, n in zip(k.character, g, factors)) % e == 0
+        if pairing(group, k.character, g) == 0
     )
+
+
+def test_character_pairing_is_perfect():
+    """Indexing characters (and so kernels) by elements rests on the
+    pairing: additive in g, and no two elements give the same character."""
+    g = Group((3, 9))
+    assert pairing(g, (1, 0), (1, 0)) == 3
+    assert pairing(g, (0, 1), (0, 3)) == 3
+    assert pairing(g, (0, 0), (2, 7)) == 0
+    table = {}
+    for chi in g.elements():
+        table[chi] = tuple(pairing(g, chi, x) for x in g.elements())
+        for a in g.elements():
+            for b in [(1, 1), (2, 8)]:
+                assert pairing(g, chi, g.add(a, b)) == (
+                    pairing(g, chi, a) + pairing(g, chi, b)
+                ) % g.exponent
+    assert len(set(table.values())) == g.order
 
 
 def full_lattice_rows(group: Group):

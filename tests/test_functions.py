@@ -12,9 +12,6 @@ from homok.functions import (
     from_coordinates,
     from_generator_values,
     is_homogeneous,
-    pointwise_combine,
-    table_from_json_dict,
-    table_to_json_dict,
     to_coordinates,
     zero_table,
 )
@@ -142,8 +139,7 @@ class TestCoordinates:
         t = from_coordinates(pres, (0, 3, 4), 9, check=True)
         assert is_homogeneous(t)
 
-    @pytest.mark.parametrize("build", ["from_coordinates", "pointwise_combine"])
-    def test_failed_audit_raises_under_optimize(self, build):
+    def test_failed_audit_raises_under_optimize(self):
         # the audit reports failure; -O strips asserts, so the check must
         # survive it
         script = (
@@ -153,23 +149,19 @@ class TestCoordinates:
             "fn.is_homogeneous = lambda t: fn.HomogeneityReport(False, None, 'forced')\n"
             "pres = graded_presentation(Group((9,)), 2)\n"
             "try:\n"
-            "    if sys.argv[1] == 'from_coordinates':\n"
-            "        fn.from_coordinates(pres, (0, 3, 4), 9, check=True)\n"
-            "    else:\n"
-            "        t = fn.from_coordinates(pres, (0, 3, 4), 9)\n"
-            "        fn.pointwise_combine([t, t], [1, 2], check=True)\n"
+            "    fn.from_coordinates(pres, (0, 3, 4), 9, check=True)\n"
             "except InternalInvariantError as exc:\n"
             "    print(exc)\n"
             "    sys.exit(3)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", script, build],
+            [sys.executable, "-O", "-c", script],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 3, proc.stderr
         assert "not homogeneous: forced" in proc.stdout
-        assert build in proc.stdout
+        assert "from_coordinates" in proc.stdout
 
     def test_to_coordinates_rejects_inhomogeneous(self):
         g = Group((9,))
@@ -210,54 +202,13 @@ class TestCombination:
         pres = graded_presentation(Group((9,)), 2)
         f = from_coordinates(pres, (0, 0, 1), 9)
         g = from_coordinates(pres, (0, 3, 2), 9)
-        combo = pointwise_combine([f, g], [2, 3], check=True)
+        combo = FunctionTable(
+            f.domain, 2, tuple(2 * a + 3 * b for a, b in zip(f.values, g.values))
+        )
         want = tuple(
             (2 * a + 3 * b) for a, b in zip(to_coordinates(f), to_coordinates(g))
         )
         assert to_coordinates(combo) == want
-
-    def test_mismatched_tables_rejected(self):
-        f = zero_table(Group((3,)), 1)
-        g = zero_table(Group((3,)), 2)
-        with pytest.raises(ValueError, match="share"):
-            pointwise_combine([f, g], [1, 1])
-        with pytest.raises(ValueError, match="weight"):
-            pointwise_combine([f], [1, 2])
-        with pytest.raises(ValueError, match="at least one"):
-            pointwise_combine([], [])
-
-    def test_group_valued_combination(self):
-        g = Group((5,))
-        ident = FunctionTable(g, 1, tuple(g.elements()), g)
-        double = pointwise_combine([ident, ident], [1, 1])
-        assert double.values == tuple(g.scale(2, x) for x in g.elements())
-
-
-class TestJsonForm:
-    def test_roundtrip(self):
-        pres = graded_presentation(Group((3, 9)), 2)
-        coords = tuple(27 // m if m > 1 else 0 for m in pres.moduli)
-        t = from_coordinates(pres, coords, 27)
-        doc = table_to_json_dict(t)
-        assert doc["degree"] == 2 and doc["group"] == "3,9"
-        back = table_from_json_dict(doc)
-        assert back == t
-
-    def test_degree_zero_roundtrip(self):
-        pres = graded_presentation(Group((9,)), 0)
-        t = from_coordinates(pres, (4, 0, -1), Target.Z)
-        back = table_from_json_dict(table_to_json_dict(t))
-        assert back == t
-        bad = table_to_json_dict(t)
-        bad["values"][0] = [1, 2]
-        with pytest.raises(ValueError, match="integers"):
-            table_from_json_dict(bad)
-
-    def test_group_valued_tables_have_no_json_form(self):
-        g = Group((3,))
-        t = FunctionTable(g, 1, tuple(g.elements()), g)
-        with pytest.raises(ValueError, match="scalar"):
-            table_to_json_dict(t)
 
 
 def test_homogeneous_count_on_a_tiny_group_by_enumeration():

@@ -47,14 +47,24 @@ def test_first_order_is_identity():
         assert higher_order(1, k) == k
 
 
-@pytest.mark.parametrize("d", list(range(1, 13)) + [15, 16, 18, 24, -6, -8])
+# 36, 66 and 100: the primes 37, 67 and 101 (p - 1 | d) divide the first
+# p - 1 terms of the fold, so a floor of 16 terms (36) or of 64 terms (66,
+# 100) let the window stop on a wrong gcd
+@pytest.mark.parametrize(
+    "d", list(range(1, 13)) + [15, 16, 18, 24, 36, 66, 100, -6, -8, -66]
+)
 def test_closed_form_matches_oracle(d):
-    # min_terms must reach past the largest prime p with p-1 | d (19 for
-    # d=18): below that every sample is divisible by p and the window rule
-    # would stop on a gcd that still carries the spurious factor.
-    policy = OraclePolicy(min_terms=64, stable_window=16, max_terms=512)
     for k in range(1, 41):
-        assert higher_order(d, k) == higher_order_oracle(d, k, policy), (d, k)
+        assert higher_order(d, k) == higher_order_oracle(d, k), (d, k)
+
+
+def test_oracle_refuses_a_budget_below_the_degree():
+    with pytest.raises(OracleStabilizationError, match="at least 601 terms"):
+        higher_order_oracle(600, 3)
+    with pytest.raises(OracleStabilizationError, match="budget of 9"):
+        higher_order_oracle(-10, 3, OraclePolicy(min_terms=1, max_terms=9))
+    roomy = OraclePolicy(min_terms=1, max_terms=64)
+    assert higher_order_oracle(-10, 3, roomy) == higher_order(-10, 3)
 
 
 def test_k_divides_order_and_order_divides_multiples():

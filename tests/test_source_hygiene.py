@@ -1,15 +1,28 @@
 """Source hygiene of the package: no module imports a name it never uses,
-and no module defines a private module-level function that nothing in the
-package refers to (a helper left behind, or one kept only for tests).
+no module defines a private module-level function that nothing in the
+package refers to (a helper left behind, or one kept only for tests), and
+every public module-level function or class has a caller in the package
+or is exported. The suite's own warning filters fail a test that leaves a
+file open.
 
-Exempt: the re-exports of ``__init__``, and import lines marked
-``# noqa: F401``.
+Exempt: the re-exports of ``__init__``, import lines marked
+``# noqa: F401``, and the public names in ``UNCALLED_PUBLIC``.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "homok"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "homok"
+
+# public names that nothing in the package calls, kept on purpose
+UNCALLED_PUBLIC = {
+    "snf.py determinant": "the unimodularity check of acceptance criterion 11",
+    "snf.py smith_diagonal": "timed by name in perfbench/ (ROADMAP item 1)",
+    "snf.py subgroup_basis": "timed by name in perfbench/ (ROADMAP item 1)",
+}
 
 
 def _modules():
@@ -56,16 +69,75 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def test_every_private_function_is_referenced():
+def _exported(tree) -> set[str]:
+    """The names listed in the module's ``__all__``, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _definitions(modules):
+    """Module-level functions and classes as (module, node) pairs, and
+    every name referred to outside the definition that binds it."""
     defined, references = [], []
-    for name, (_, tree) in _modules().items():
+    for name, (_, tree) in modules.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    defined.append((name, node.name))
-                # a function that only calls itself is still unreferenced
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                defined.append((name, node))
+                # a definition that only refers to itself is still unreferenced
                 references.append(_referenced(node) - {node.name})
             else:
                 references.append(_referenced(node))
-    seen = set().union(*references)
-    assert [f"{m} {f}" for m, f in defined if f not in seen] == []
+    return defined, set().union(*references)
+
+
+def test_every_private_function_is_referenced():
+    defined, seen = _definitions(_modules())
+    assert [
+        f"{m} {node.name}"
+        for m, node in defined
+        if not isinstance(node, ast.ClassDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in seen
+    ] == []
+
+
+def test_every_public_name_has_a_caller():
+    """Referred to elsewhere in the package, listed in ``homok.__all__`` or
+    its module's ``__all__``, or a ``cli.cmd_*`` handler (dispatched by
+    name)."""
+    modules = _modules()
+    defined, seen = _definitions(modules)
+    package_all = _exported(modules["__init__.py"][1])
+    uncalled = [
+        f"{m} {node.name}"
+        for m, node in defined
+        if not node.name.startswith("_")
+        and node.name not in seen | package_all | _exported(modules[m][1])
+        and not (m == "cli.py" and node.name.startswith("cmd_"))
+    ]
+    assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
+
+
+def test_a_file_left_open_fails_its_test(tmp_path):
+    (tmp_path / "test_leak.py").write_text(
+        "def test_leak(tmp_path):\n"
+        "    path = tmp_path / 'x'\n"
+        "    path.write_text('1')\n"
+        "    assert open(path).read() == '1'\n"
+    )
+    config = ROOT / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "--rootdir", str(tmp_path), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert "ResourceWarning: unclosed file" in proc.stdout
