@@ -81,8 +81,8 @@ def _well_typed(value, kind: type) -> bool:
 
 class ResultCache:
     """Keyed JSON store under one directory; writes are atomic and reads
-    reject entries from other tool versions and cache schemas. An entry
-    that is not a JSON object is a miss, with a warning. A write
+    reject entries from other tool versions and cache schemas. An entry of
+    the wrong shape or element types is a miss, with a warning. A write
     that fails (say, the directory went away after its probe) is skipped,
     and the next call probes its directory again."""
 
@@ -130,6 +130,18 @@ class ResultCache:
             return None
         return entry.get("payload")
 
+    def lookup(self, key, fields):
+        """The cached payload if it is a dict carrying every field in
+        ``fields`` (name -> type, see ``_well_typed``), else None: a payload
+        without them is a miss, with a warning."""
+        payload = self.get(key)
+        if payload is None or (
+            isinstance(payload, dict)
+            and all(_well_typed(payload.get(k), t) for k, t in fields.items())
+        ):
+            return payload
+        return self._malformed(key)
+
     def _malformed(self, key) -> None:
         print(
             f"warning: ignoring malformed cache entry {self._path(key)}; recomputing",
@@ -160,6 +172,26 @@ class ResultCache:
             # the directory may have gone away since its probe: probe again
             # on the next call, which recreates it or warns
             _probe.cache_clear()
+
+
+def _cached(cache, kind: str, group: Group, params, fields, compute):
+    """Serve a canonical-class document from ``cache`` (or compute it, if
+    ``cache`` is None).
+
+    Cached payloads are keyed on the invariant-factor spec, so handlers
+    must only put class-invariant data (sorted multisets, canonical
+    chains) into them. ``fields`` lists the keys (with types) the handler
+    reads back; a cached payload without them is recomputed.
+    """
+    key = [kind, group.canonical_spec, params]
+    if cache is not None:
+        hit = cache.lookup(key, fields)
+        if hit is not None:
+            return hit
+    document = compute()
+    if cache is not None:
+        cache.put(key, document)
+    return document
 
 
 # -- emission ---------------------------------------------------------------
@@ -229,24 +261,37 @@ def cmd_od(args) -> int:
 
 def cmd_gd(args) -> int:
     group = parse_group_spec(args.group)
-    pres = graded_presentation(group, args.d)
-    moduli = sorted(pres.moduli)
-    document = {
-        "group": group.canonical_spec,
-        "degree": args.d,
-        "moduli": moduli,
-        "invariants": list(invariant_factors_from_orders(moduli)),
+
+    def compute():
+        pres = graded_presentation(group, args.d)
+        moduli = sorted(pres.moduli)
+        document = {
+            "group": group.canonical_spec,
+            "degree": args.d,
+            "moduli": moduli,
+            "invariants": list(invariant_factors_from_orders(moduli)),
+        }
+        if args.d == 0:
+            document["free_rank"] = pres.free_rank
+        else:
+            document["size"] = pres.size()
+        return document
+
+    fields = {
+        "moduli": list,
+        "invariants": list,
+        "free_rank" if args.d == 0 else "size": int,
     }
+    cache = ResultCache.from_args(args)
+    document = _cached(cache, "gd", group, [args.d], fields, compute)
     lines = [
         f"bracket of {group.canonical_spec} at degree {args.d}",
-        f"summand orders: {moduli}",
+        f"summand orders: {document['moduli']}",
         f"invariants: {_chain(document['invariants'])}",
     ]
     if args.d == 0:
-        document["free_rank"] = pres.free_rank
-        lines.append(f"free rank: {pres.free_rank}")
+        lines.append(f"free rank: {document['free_rank']}")
     else:
-        document["size"] = pres.size()
         lines.append(f"size: {document['size']}")
     _emit(args, document, lines)
     return 0
@@ -269,24 +314,32 @@ def cmd_hmg(args) -> int:
             "degree-0 homogeneous functions take values in Z; pass --target Z"
         )
 
-    invariants = hom_invariants(graded_presentation(group, args.d), target)
-    document = {
-        "group": group.canonical_spec,
-        "degree": args.d,
-        "target": target_name,
-        "invariants": list(invariants),
-    }
+    def compute():
+        invariants = hom_invariants(graded_presentation(group, args.d), target)
+        document = {
+            "group": group.canonical_spec,
+            "degree": args.d,
+            "target": target_name,
+            "invariants": list(invariants),
+        }
+        if invariants and all(n == 0 for n in invariants):
+            document["free_rank"] = len(invariants)
+        else:
+            document["order"] = prod(invariants) if invariants else 1
+        return document
+
+    # only degree 0 (into Z) has a free result; see hom_invariants
+    fields = {"invariants": list, "free_rank" if args.d == 0 else "order": int}
+    cache = ResultCache.from_args(args)
+    document = _cached(cache, "hmg", group, [args.d, target_name], fields, compute)
     lines = [
         f"homogeneous functions on {group.canonical_spec}, degree {args.d}, "
         f"target {target_name}",
-        f"invariants: {_chain(invariants)}",
+        f"invariants: {_chain(document['invariants'])}",
     ]
-    # only degree 0 (into Z) has a free result; see hom_invariants
-    if invariants and all(n == 0 for n in invariants):
-        document["free_rank"] = len(invariants)
-        lines.append(f"free rank: {len(invariants)}")
+    if "free_rank" in document:
+        lines.append(f"free rank: {document['free_rank']}")
     else:
-        document["order"] = prod(invariants) if invariants else 1
         lines.append(f"order: {document['order']}")
     _emit(args, document, lines)
     return 0
@@ -304,27 +357,10 @@ SK1_FIELDS = {
 
 def _sk1_document(cache, group: Group) -> dict:
     """The ``sk1`` document of ``group``: the one cache entry that ``sk1``,
-    ``coc`` and ``table`` all read and write (or compute it, if ``cache``
-    is None).
-
-    The entry is keyed on the invariant-factor spec, so the document holds
-    only class-invariant data (sorted multisets, canonical chains). A
-    cached payload without every field of ``SK1_FIELDS``, of its type (see
-    ``_well_typed``), is recomputed, with a warning.
-    """
-    key = ["sk1", group.canonical_spec, []]
-    if cache is not None:
-        payload = cache.get(key)
-        if isinstance(payload, dict) and all(
-            _well_typed(payload.get(k), t) for k, t in SK1_FIELDS.items()
-        ):
-            return payload
-        if payload is not None:
-            cache._malformed(key)
-    document = sk1_invariants(group).to_json_dict()
-    if cache is not None:
-        cache.put(key, document)
-    return document
+    ``coc`` and ``table`` all read and write."""
+    return _cached(
+        cache, "sk1", group, [], SK1_FIELDS, lambda: sk1_invariants(group).to_json_dict()
+    )
 
 
 def cmd_coc(args) -> int:
@@ -633,8 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cache",
         metavar="DIR",
-        help="result cache directory for coc, sk1 and table (or set "
-        "HOMOK_CACHE_DIR)",
+        help="result cache directory (or set HOMOK_CACHE_DIR)",
     )
 
     p = sub.add_parser("group", parents=[common], help="group card and its cyclic subgroups")

@@ -546,13 +546,13 @@ class TestCache:
         cachedir = tmp_path / "cache"
         for spec in ("3", "9", "3,9", "5", "9"):
             code, _, err = run_cli(
-                ["sk1", "--group", spec, "--cache", str(cachedir)], capsys
+                ["hmg", "--group", spec, "--d", "2", "--cache", str(cachedir)], capsys
             )
             assert (code, err) == (0, "")
         assert probes == [str(cachedir)]
         # a relative spelling of the same directory is the same directory
         monkeypatch.chdir(tmp_path)
-        argv = ["coc", "--group", "7", "--cache", "cache"]
+        argv = ["gd", "--group", "7", "--d", "1", "--cache", "cache"]
         assert run_cli(argv, capsys)[0] == 0
         assert probes == [str(cachedir)]
 
@@ -561,7 +561,7 @@ class TestCache:
         blocker.write_text("")
         for _ in range(3):
             code, _, err = run_cli(
-                ["sk1", "--group", "15", "--cache", str(blocker / "sub")],
+                ["gd", "--group", "15", "--d", "1", "--cache", str(blocker / "sub")],
                 capsys,
             )
             assert code == 0
@@ -570,7 +570,7 @@ class TestCache:
     def test_directory_removed_after_its_probe(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("HOMOK_CACHE_DIR", raising=False)
         cachedir = tmp_path / "cache"
-        argv = ["sk1", "--group", "3,9,5", "--json"]
+        argv = ["hmg", "--group", "3,9,5", "--d", "2", "--json"]
         assert run_cli(argv + ["--cache", str(cachedir)], capsys)[0] == 0
         shutil.rmtree(cachedir)
         _, want, _ = run_cli(argv, capsys)
@@ -694,28 +694,6 @@ class TestCache:
         (new_path,) = set(cachedir.iterdir()) - {old_path}
         new_path.write_text(json.dumps({**entry, "payload": ["not", "a", "dict"]}))
         assert run_cli(argv, capsys) == (0, out, "")
-
-    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
-    def test_gd_and_hmg_leave_the_cache_alone(
-        self, via_env, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.delenv("HOMOK_CACHE_DIR", raising=False)
-        cachedir = tmp_path / "cache"
-        calls = [["hmg", "--group", "3,9,5", "--d", d] for d in ("1", "2", "-1")]
-        calls.append(["hmg", "--group", "3,9,5", "--d", "0", "--target", "Z"])
-        calls += [["gd", "--group", "3,9,5", "--d", d] for d in ("0", "1")]
-        for argv in calls:
-            for form in ([], ["--json"]):
-                _, want, _ = run_cli(argv + form, capsys)
-                if via_env:
-                    monkeypatch.setenv("HOMOK_CACHE_DIR", str(cachedir))
-                    got = run_cli(argv + form, capsys)
-                    monkeypatch.delenv("HOMOK_CACHE_DIR")
-                else:
-                    got = run_cli(argv + form + ["--cache", str(cachedir)], capsys)
-                assert got == (0, want, "")
-                # computed from the census on every call: nothing is stored
-                assert not cachedir.exists() or not any(cachedir.iterdir())
 
     def test_cache_used_by_cli(self, tmp_path, capsys):
         cachedir = tmp_path / "cache"
