@@ -131,13 +131,14 @@ class ResultCache:
         return entry.get("payload")
 
     def lookup(self, key, fields):
-        """The cached payload if it is a dict carrying every field in
-        ``fields`` (name -> type, see ``_well_typed``), else None: a payload
-        without them is a miss, with a warning."""
+        """The cached payload if it is a dict whose keys are exactly those
+        of ``fields`` (name -> type, see ``_well_typed``), each well typed,
+        else None: any other payload is a miss, with a warning."""
         payload = self.get(key)
         if payload is None or (
             isinstance(payload, dict)
-            and all(_well_typed(payload.get(k), t) for k, t in fields.items())
+            and payload.keys() == fields.keys()
+            and all(_well_typed(payload[k], t) for k, t in fields.items())
         ):
             return payload
         return self._malformed(key)
@@ -180,8 +181,8 @@ def _cached(cache, kind: str, group: Group, params, fields, compute):
 
     Cached payloads are keyed on the invariant-factor spec, so handlers
     must only put class-invariant data (sorted multisets, canonical
-    chains) into them. ``fields`` lists the keys (with types) the handler
-    reads back; a cached payload without them is recomputed.
+    chains) into them. ``fields`` lists every key of the document, with
+    its type; a cached payload with other keys or types is recomputed.
     """
     key = [kind, group.canonical_spec, params]
     if cache is not None:
@@ -278,6 +279,8 @@ def cmd_gd(args) -> int:
         return document
 
     fields = {
+        "group": str,
+        "degree": int,
         "moduli": list,
         "invariants": list,
         "free_rank" if args.d == 0 else "size": int,
@@ -329,7 +332,13 @@ def cmd_hmg(args) -> int:
         return document
 
     # only degree 0 (into Z) has a free result; see hom_invariants
-    fields = {"invariants": list, "free_rank" if args.d == 0 else "order": int}
+    fields = {
+        "group": str,
+        "degree": int,
+        "target": str,
+        "invariants": list,
+        "free_rank" if args.d == 0 else "order": int,
+    }
     cache = ResultCache.from_args(args)
     document = _cached(cache, "hmg", group, [args.d, target_name], fields, compute)
     lines = [

@@ -18,6 +18,7 @@ from itertools import compress
 from math import prod
 from operator import mul
 
+from .arith import is_prime
 from .bracket import Target, graded_presentation, hom_invariants
 from .groups import (
     Group,
@@ -113,6 +114,33 @@ def _coc_basis_rows(group: Group) -> IntMatrix:
     return rows
 
 
+def _monomial_rows(group: Group) -> IntMatrix:
+    """For a group of prime exponent p: the degree-p monomials in the
+    coordinates of order p, each evaluated mod p at every column's generator.
+
+    Over F_p the indicator of ker chi is ``1 - chi^(p-1)`` and ``x^p = x``,
+    so each row ``psi * 1_K`` of ``_coc_basis_rows`` is
+    ``psi - psi * chi^(p-1)``, a degree-p form: the C(p+k-1, p) monomials
+    span the same F_p space as its q*k rows. Each degree is built from the
+    one below by multiplying with one coordinate, in nondecreasing index
+    order, so every monomial appears once.
+    """
+    p = group.exponent
+    gens = [rec.canonical_generator for rec in cyclic_subgroups(group)]
+    coords = [
+        [x[i] for x in gens] for i, n in enumerate(group.factor_orders) if n == p
+    ]
+    # (values, index of the last coordinate multiplied in)
+    level = [(column, i) for i, column in enumerate(coords)]
+    for _ in range(p - 1):
+        level = [
+            ([a * b % p for a, b in zip(values, coords[i])], i)
+            for values, last in level
+            for i in range(last, len(coords))
+        ]
+    return [values for values, _ in level]
+
+
 @dataclass(frozen=True)
 class SK1Report:
     """Invariant factors of the scalar homogeneous functions, the cocyclic
@@ -147,12 +175,17 @@ def sk1_invariants(group: Group) -> SK1Report:
     """The quotient of scalar homogeneous functions by the cocyclic lattice.
 
     Computed as the cokernel of the generator matrix in the ambient
-    ``+ Z/|C|``. Even orders are computed too but flagged: the group-ring
-    identification is only available for odd groups.
+    ``+ Z/|C|``: the general rows, or the monomial rows for a prime
+    exponent and rank at least 3. Even orders are computed too but flagged:
+    the group-ring identification is only available for odd groups.
     """
     moduli = [rec.subgroup_order for rec in cyclic_subgroups(group)]
     hmg = hom_invariants(graded_presentation(group, 1), Target.QZ)
-    rows = _coc_basis_rows(group)
+    # on rank 2 the monomials save at most half the rows and cost about p^3
+    if is_prime(group.exponent) and len(group.invariant_factors) >= 3:
+        rows = _monomial_rows(group)
+    else:
+        rows = _coc_basis_rows(group)
     quotient, coc = lattice_invariants(rows, moduli)
     if prod(hmg) != prod(coc) * prod(quotient):
         raise InternalInvariantError(

@@ -5,7 +5,8 @@ Matrices are plain ``list[list[int]]`` acting on row vectors; a subgroup of
 the ambient group is described by generator rows together with the implicit
 relation rows ``m_j * e_j``. Quotient and subgroup invariants come from one
 triangular fold and an elimination over ``Z/p^n`` per prime
-(``lattice_invariants``); the generic Smith form serves the public
+(``lattice_invariants``), or, when the ambient exponent is prime, from one
+rank over that field; the generic Smith form serves the public
 ``smith_normal_form``/``smith_diagonal`` and ``subgroup_basis``.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .arith import factorize, xgcd
+from .arith import factorize, is_prime, xgcd
 
 IntMatrix = list[list[int]]
 
@@ -359,14 +360,23 @@ def lattice_invariants(
     quotient is ``Z^q / rowspan(B)`` and the subgroup is ``Z^q /
     rowspan(X)`` for ``X @ B == diag(moduli)``. Both are killed by the
     exponent e of the ambient group, so for each prime p of e their
-    p-parts are read off B and X reduced mod ``p^v_p(e)``. Each chain is
-    ascending with unit factors dropped.
+    p-parts are read off B and X reduced mod ``p^v_p(e)``. When e is
+    prime the ambient group is a vector space over F_e, and the rank r of
+    the rows there gives both: ``(e,) * (live - r)`` and ``(e,) * r``, live
+    the columns of modulus e. Each chain is ascending with unit factors
+    dropped.
     """
     _validate_ambient(rows, moduli)
+    e = lcm(*moduli)
+    if is_prime(e):  # every modulus is 1 or e: a vector space over F_e
+        live = [c for c, m in enumerate(moduli) if m == e]
+        rows = [[row[c] for c in live] for row in rows]
+        rank = len(live) - len(_local_exponents(rows, e, 1)) if rows else 0
+        return (e,) * (len(live) - rank), (e,) * rank
     basis = _hermite_basis(rows, moduli)
     relations = _express_relations(basis, moduli)
     quotient, subgroup = [], []
-    for p, n in factorize(lcm(*moduli)).items():
+    for p, n in factorize(e).items():
         quotient.append((p, _local_exponents(basis, p, n)))
         subgroup.append((p, _local_exponents(relations, p, n)))
     return _chain(quotient), _chain(subgroup)

@@ -12,12 +12,12 @@ import inspect
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .arith import divisors, factorize, is_prime, vp
 from .bracket import graded_presentation, hom_invariants, \
     sylow_decomposition_invariants
-from .cocyclic import sk1_sylow_check
+from .cocyclic import sk1_invariants, sk1_sylow_check
 from .functions import FunctionTable, from_generator_values
 from .groups import (
     Group,
@@ -247,6 +247,25 @@ def cocyclic_assembly():
         )
 
 
+def ados_formula():
+    """Elementary abelian quotients against a formula from outside this
+    package: for odd p, SK1(Z[(C_p)^k]) is (Z/p)^N with
+    N = (p^k - 1)/(p - 1) - C(p + k - 1, p) (Alperin, Dennis, Oliver, Stein,
+    "SK_1 of finite abelian groups, I", Invent. Math. 87, 1987), on every
+    odd p and k >= 2 with p^k <= 6561 = 3^8 (k = 1 is cyclic, N = 0)."""
+    for p in range(3, 82):
+        if not is_prime(p):
+            continue
+        k = 2
+        while p**k <= 6561:
+            n = (p**k - 1) // (p - 1) - comb(p + k - 1, p)
+            got = sk1_invariants(Group((p,) * k)).quotient_invariants
+            yield got == (p,) * n, (
+                f"G = ({p})^{k}: quotient {got}, ADOS predicts ({p})^{n}"
+            )
+            k += 1
+
+
 def _random_degree_one_map(rng, src: Group, dst: Group) -> FunctionTable:
     pres = graded_presentation(src, 1)
     elems = list(dst.elements())
@@ -376,6 +395,7 @@ SUITES = {
     "cor214": degree_one_duality,
     "thm216": cocyclic_assembly,
     "prop32": transfer_laws,
+    "ados": ados_formula,
 }
 
 

@@ -306,8 +306,10 @@ def test_criterion_13_elementary_quotient_matches_ados():
     t0 = time.monotonic()
     cases = [
         (3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
-        (5, 2), (5, 3), (5, 4),
-        (7, 2), (7, 3),
+        (3, 7), (3, 8),
+        (5, 2), (5, 3), (5, 4), (5, 5),
+        (7, 2), (7, 3), (7, 4),
+        (11, 3),
     ]
     ok = True
     for p, k in cases:
@@ -318,7 +320,8 @@ def test_criterion_13_elementary_quotient_matches_ados():
     _report(
         13,
         ok,
-        "elementary quotients = ADOS formula on 3^2..3^6, 5^2..5^4, 7^2, 7^3",
+        "elementary quotients = ADOS formula on 3^2..3^8, 5^2..5^5, "
+        "7^2..7^4, 11^3",
         elapsed,
     )
 

@@ -648,8 +648,12 @@ class TestCache:
             (SK1, "theorem_4_1_applies", 1),
             (COC, "coc", [True]),
             (TABLE, "sk1", [True]),
+            (SK1, "note", "stale"),
         ],
-        ids=["sk1-bool", "hmg-str", "q_counts-str", "flag-int", "coc-bool", "table"],
+        ids=[
+            "sk1-bool", "hmg-str", "q_counts-str", "flag-int", "coc-bool", "table",
+            "extra-key",
+        ],
     )
     def test_field_of_wrong_element_type_is_a_miss(
         self, reader, field, value, tmp_path, capsys
@@ -694,6 +698,29 @@ class TestCache:
         (new_path,) = set(cachedir.iterdir()) - {old_path}
         new_path.write_text(json.dumps({**entry, "payload": ["not", "a", "dict"]}))
         assert run_cli(argv, capsys) == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gd", "--group", "3,9", "--d", "0"],
+            ["gd", "--group", "3,9", "--d", "2"],
+            ["hmg", "--group", "3,9", "--d", "0", "--target", "Z"],
+            ["hmg", "--group", "3,9", "--d", "2"],
+            ["hmg", "--group", "3,9", "--d", "-1", "--target", "9"],
+        ],
+        ids=["gd-0", "gd-2", "hmg-0-Z", "hmg-2", "hmg-group-target"],
+    )
+    def test_gd_and_hmg_entries_are_quiet_hits(self, argv, tmp_path, capsys, monkeypatch):
+        # every key of the document is one of its fields: no entry is stale
+        argv = argv + ["--json", "--cache", str(tmp_path / "cache")]
+        code, want, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+
+        def refuse(*args):
+            raise AssertionError("the entry was not served")
+
+        monkeypatch.setattr(cli, "graded_presentation", refuse)
+        assert run_cli(argv, capsys) == (0, want, "")
 
     def test_cache_used_by_cli(self, tmp_path, capsys):
         cachedir = tmp_path / "cache"

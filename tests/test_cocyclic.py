@@ -10,6 +10,7 @@ import homok.cocyclic
 from homok import snf
 from homok.cocyclic import (
     _coc_basis_rows,
+    _monomial_rows,
     cocyclic_subgroups,
     sk1_invariants,
     sk1_sylow_check,
@@ -249,15 +250,24 @@ class TestQuotientInvariants:
 
     def test_elementary_case_agrees_with_field_rank(self):
         # for (Z/p)^r the ambient moduli are p at every nontrivial line, so
-        # the quotient is (Z/p)^(lines - rank) and a plain field rank is an
-        # independent oracle
-        for spec in [(3, 3), (3, 3, 3), (5, 5), (5, 5, 5), (7, 7)]:
+        # the quotient is (Z/p)^(lines - rank) and a plain field rank of the
+        # general rows is an independent oracle; from rank 3 on sk1 takes
+        # the degree-p monomial rows, which must span the same F_p space
+        specs = [
+            (3, 3), (3, 3, 3), (5, 5), (5, 5, 5), (7, 7),
+            (2, 2, 2), (2,) * 5, (2,) * 6, (3,) * 4, (3,) * 5, (5,) * 4,
+            (7, 7, 7), (3, 1, 3, 3), (1, 2, 2, 2),
+        ]
+        for spec in specs:
             g = Group(spec)
-            p = spec[0]
+            p = g.exponent
             lines = cyclic_subgroup_count(g) - 1
-            nontrivial = [row[1:] for row in _coc_basis_rows(g)]
-            corank = lines - gf_rank(nontrivial, p)
-            assert sk1_invariants(g).quotient_invariants == (p,) * corank
+            general = [row[1:] for row in _coc_basis_rows(g)]
+            rank = gf_rank(general, p)
+            assert sk1_invariants(g).quotient_invariants == (p,) * (lines - rank)
+            if len(g.invariant_factors) >= 3:
+                monomial = [row[1:] for row in _monomial_rows(g)]
+                assert gf_rank(monomial, p) == rank == gf_rank(general + monomial, p)
 
     def test_worked_mixed_example(self):
         report = sk1_invariants(Group((15,)))

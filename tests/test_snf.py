@@ -137,6 +137,9 @@ def test_input_validation():
         cokernel_invariants([[1]], [2, 2])
     with pytest.raises(ValueError):
         cokernel_invariants([], [0, 2])
+    for moduli in ([3, 3], [1, 7], [2, 4]):
+        with pytest.raises(ValueError):
+            lattice_invariants([[1, 0], [1, 0, 0]], moduli)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -166,16 +169,23 @@ def stacked_smith_chain(rows, moduli):
     return tuple(d for d in smith_diagonal([list(r) for r in rows] + relations) if d != 1)
 
 
-@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("seed", range(32))
 def test_lattice_invariants_match_smith_and_subgroup_basis(seed):
     rng = random.Random(0x1A77 + seed)
     q = rng.randint(1, 6)
-    if seed % 2:  # one prime: every modulus a power of it, units included
+    if seed >= 24:  # prime exponent p: every modulus 1 or p, at least one p
+        p = (2, 3, 5, 7)[seed % 4]
+        q = rng.randint(2, 7)
+        moduli = [p] + [rng.choice((1, p)) for _ in range(q - 1)]
+        rng.shuffle(moduli)
+    elif seed % 2:  # one prime: every modulus a power of it, units included
         p = rng.choice([2, 3, 5])
         moduli = [p ** rng.randint(0, 3) for _ in range(q)]
     else:  # mixed primes and units
         moduli = [rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 18, 25, 36]) for _ in range(q)]
     rows = [[rng.randint(-40, 40) for _ in range(q)] for _ in range(rng.randint(0, 5))]
+    if seed in (25, 26):
+        rows = []
     if rows and seed % 3 == 0:
         rows.append([0] * q)
     if rows and seed % 4 == 0:
@@ -200,3 +210,7 @@ def test_lattice_invariants_edge_cases():
     assert lattice_invariants([[3, 0], [3, 0], [0, 0]], [9, 9]) == ((3, 9), (3,))
     # full ambient group generated: everything in the subgroup
     assert lattice_invariants([[1, 0], [0, 1]], [8, 12]) == ((), (4, 24))
+    # prime exponent: a vector space over F_p, unit columns dropped
+    assert lattice_invariants([], [3, 3]) == ((3, 3), ())
+    assert lattice_invariants([], [1, 7]) == ((7,), ())
+    assert lattice_invariants([[4, -2, 1], [1, 1, -2]], [3, 1, 3]) == ((3,), (3,))

@@ -15,6 +15,7 @@ def test_registry_names():
         "cor214",
         "thm216",
         "prop32",
+        "ados",
     )
 
 
@@ -62,3 +63,9 @@ def test_duality_suite():
     result = verify.run_suite("cor214")
     assert result.passed
     assert result.checks == 2 * 389
+
+
+def test_ados_suite():
+    result = verify.run_suite("ados")
+    assert result.passed
+    assert result.checks == 35
