@@ -36,7 +36,7 @@ from .groups import (
     parse_group_spec,
     sylow_decompose,
 )
-from .orders import OraclePolicy, higher_order, higher_order_oracle, vp_factorial
+from .orders import higher_order, higher_order_oracle, vp_factorial
 from .snf import cokernel_invariants, smith_normal_form, subgroup_invariants
 from .transfer import (
     InducedGradedMap,
@@ -60,7 +60,7 @@ __all__ = [
     "RationalResidue",
     "all_abelian_groups", "cyclic_subgroups", "element_order",
     "parse_group_spec", "sylow_decompose",
-    "OraclePolicy", "higher_order", "higher_order_oracle", "vp_factorial",
+    "higher_order", "higher_order_oracle", "vp_factorial",
     "cokernel_invariants", "smith_normal_form", "subgroup_invariants",
     "InducedGradedMap", "induced_graded_map", "preimage_sum", "pullback",
     "transfer_apply",

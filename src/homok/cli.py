@@ -5,9 +5,9 @@ scalar function groups, the cocyclic lattice and its quotient, transfer
 jobs, the verification suites, and CSV tables over prime families.
 
 Exit codes: 0 on success, 1 on computation failures (cap exceeded, a
-refused transfer job, a failing suite, an oracle out of terms, a broken
-internal check), 2 on usage errors (bad flags, malformed group specs or
-job files).
+refused transfer job, a failing suite, an oracle degree over its budget
+of 512 terms, a broken internal check), 2 on usage errors (bad flags,
+malformed group specs or job files).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .groups import (
 )
 from .orders import OracleStabilizationError, higher_order, higher_order_oracle
 from .transfer import TransferError, induced_graded_map, transfer_apply
-from .verify import available_suites, run_suite
+from .verify import available_suites, run_suite, suite_parameters
 
 
 # -- result cache -----------------------------------------------------------
@@ -497,17 +497,21 @@ def cmd_verify(args) -> int:
         )
         return 2
     names = suites if args.suite == "all" else (args.suite,)
+    given = {"kmax": args.kmax, "dmax": args.dmax, "seed": args.seed}
     reports = []
     code = 0
     for name in names:
-        result = run_suite(
-            name, fail_fast=True, kmax=args.kmax, dmax=args.dmax, seed=args.seed
-        )
+        # under "all", each suite gets only the bounds it takes; a named
+        # suite gets them all, and run_suite refuses one it does not take
+        params = given
+        if args.suite == "all":
+            params = {k: v for k, v in given.items() if k in suite_parameters(name)}
+        result = run_suite(name, fail_fast=True, **params)
         if result.checks == 0:
             bounds = " ".join(
-                f"--{flag} {value}"
-                for flag, value in (("kmax", args.kmax), ("dmax", args.dmax))
-                if value is not None
+                f"--{flag} {params[flag]}"
+                for flag in ("kmax", "dmax")
+                if params.get(flag) is not None
             )
             print(
                 f"error: suite {name} runs no checks with "

@@ -44,7 +44,7 @@ class FunctionTable:
                 f"{self.domain.order}"
             )
         for v in self.values:
-            self._validate_value(v)
+            _validate_value(self.codomain, self.degree, v)
         if self.degree != 0:
             zero = self.codomain.zero if self.codomain else QZ_ZERO
             if self.values[0] != zero:
@@ -53,39 +53,35 @@ class FunctionTable:
                     "(forced by f(0) = n^d f(0))"
                 )
 
-    def _validate_value(self, v) -> None:
-        if self.codomain is not None:
-            self.codomain.validate_element(v)
-        elif self.degree == 0:
-            if not isinstance(v, int):
-                raise ValueError(f"degree-0 scalar values must be integers, got {v!r}")
-        elif not isinstance(v, RationalResidue):
-            raise ValueError(f"scalar values must be rational residues, got {v!r}")
-
     def value_at(self, g: GroupElement):
         return self.values[self.domain.element_index(g)]
 
 
-def zero_table(domain: Group, degree: int, codomain: Group | None = None) -> FunctionTable:
-    zero = codomain.zero if codomain else (0 if degree == 0 else QZ_ZERO)
-    return FunctionTable(domain, degree, (zero,) * domain.order, codomain)
+def _validate_value(codomain: Group | None, degree: int, v) -> None:
+    if codomain is not None:
+        codomain.validate_element(v)
+    elif degree == 0:
+        if not isinstance(v, int):
+            raise ValueError(f"degree-0 scalar values must be integers, got {v!r}")
+    elif not isinstance(v, RationalResidue):
+        raise ValueError(f"scalar values must be rational residues, got {v!r}")
 
 
-def _value_order(table: FunctionTable, v) -> int:
-    if table.codomain is not None:
-        return element_order(table.codomain, v)
-    if table.degree == 0:
+def _value_order(codomain: Group | None, degree: int, v) -> int:
+    if codomain is not None:
+        return element_order(codomain, v)
+    if degree == 0:
         return 1
     return v.order
 
 
-def _scale_power(table: FunctionTable, n: int, e: int, v):
+def _scale_power(codomain: Group | None, degree: int, n: int, e: int, v):
     """``n^e * v`` with the exponent reduced modulo the value's order, so
     negative exponents work whenever n is invertible there."""
-    if table.codomain is not None:
-        o = element_order(table.codomain, v)
-        return table.codomain.scale(pow(n, e, o), v)
-    if table.degree == 0:
+    if codomain is not None:
+        o = element_order(codomain, v)
+        return codomain.scale(pow(n, e, o), v)
+    if degree == 0:
         return v
     if v.den == 1:
         return v
@@ -112,6 +108,7 @@ def is_homogeneous(table: FunctionTable) -> HomogeneityReport:
     the finite range decides the identity for all integers n.
     """
     g = table.domain
+    c = table.codomain
     d = table.degree
     for x in g.elements():
         o = element_order(g, x)
@@ -123,15 +120,15 @@ def is_homogeneous(table: FunctionTable) -> HomogeneityReport:
             if gcd(n, o) == 1
         ]
         for _, v in orbit:
-            span = lcm(span, _value_order(table, v))
+            span = lcm(span, _value_order(c, d, v))
         for n in range(1, span + 1):
             if gcd(n, o) != 1:
                 continue
             fnx = table.value_at(g.scale(n, x))
             if d >= 0:
-                ok = fnx == _scale_power(table, n, d, fx)
+                ok = fnx == _scale_power(c, d, n, d, fx)
             else:
-                ok = _scale_power(table, n, -d, fnx) == fx
+                ok = _scale_power(c, d, n, -d, fnx) == fx
             if not ok:
                 return HomogeneityReport(
                     False,
@@ -159,12 +156,11 @@ def from_generator_values(
             f"expected {len(summands)} generator values, got {len(values)}"
         )
     out: list = [None] * group.order
-    probe = zero_table(group, d, codomain)
     for (rec, modulus), v in zip(summands, values):
-        probe._validate_value(v)
+        _validate_value(codomain, d, v)
         o = rec.subgroup_order
         if d != 0:
-            vo = _value_order(probe, v)
+            vo = _value_order(codomain, d, v)
             if modulus % vo:
                 raise ValueError(
                     f"value {v} has order {vo}, not dividing the summand "
@@ -174,7 +170,7 @@ def from_generator_values(
         for n in range(1, o + 1):
             if gcd(n, o) == 1:
                 out[group.element_index(group.scale(n, x))] = _scale_power(
-                    probe, n, d, v
+                    codomain, d, n, d, v
                 )
     return FunctionTable(group, d, tuple(out), codomain)
 
@@ -241,7 +237,7 @@ def to_coordinates(table: FunctionTable) -> tuple:
     for rec, modulus in pres.summands:
         v = table.value_at(rec.canonical_generator)
         if table.degree != 0:
-            vo = _value_order(table, v)
+            vo = _value_order(table.codomain, table.degree, v)
             if modulus % vo:
                 raise ValueError(
                     f"value order {vo} at {rec.canonical_generator} exceeds "

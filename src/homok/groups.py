@@ -111,16 +111,16 @@ class Group:
 
     __slots__ = ("factor_orders", "invariant_factors", "order", "exponent")
 
-    def __init__(self, factor_orders, cap: int = DEFAULT_CAP):
+    def __init__(self, factor_orders):
         factors = tuple(int(n) for n in factor_orders)
         if not factors:
             factors = (1,)
         if any(n < 1 for n in factors):
             raise GroupSpecError(f"factor orders must be >= 1, got {factors}")
         order = prod(factors)
-        if order > cap:
+        if order > DEFAULT_CAP:
             raise CapExceededError(
-                f"group order {order} exceeds the cap of {cap}"
+                f"group order {order} exceeds the cap of {DEFAULT_CAP}"
             )
         self.factor_orders = factors
         self.order = order
@@ -191,7 +191,7 @@ class Group:
         return tuple((m * x) % n for x, n in zip(a, self.factor_orders))
 
 
-def parse_group_spec(text: str, cap: int = DEFAULT_CAP) -> Group:
+def parse_group_spec(text: str) -> Group:
     """Parse ``"n1,n2,..."`` into a group, e.g. ``"2,4"`` for Z/2 x Z/4."""
     if not isinstance(text, str) or not text.strip():
         raise GroupSpecError("empty group specification")
@@ -207,7 +207,7 @@ def parse_group_spec(text: str, cap: int = DEFAULT_CAP) -> Group:
         if n < 1:
             raise GroupSpecError(f"factor {n} in {text!r} must be >= 1")
         factors.append(n)
-    return Group(factors, cap=cap)
+    return Group(factors)
 
 
 def element_order(group: Group, g: GroupElement) -> int:
@@ -377,11 +377,12 @@ def _partitions(n: int, largest: int | None = None):
             yield (first,) + rest
 
 
-def all_abelian_groups(max_order: int, min_order: int = 1) -> list[Group]:
-    """Every abelian group of order in range, one per isomorphism class,
-    in canonical presentation, sorted by (order, invariant factors)."""
+def all_abelian_groups(max_order: int) -> list[Group]:
+    """Every abelian group of order at most ``max_order``, one per
+    isomorphism class, in canonical presentation, sorted by (order,
+    invariant factors)."""
     out = []
-    for n in range(max(min_order, 1), max_order + 1):
+    for n in range(1, max_order + 1):
         per_prime = []
         for p, k in sorted(factorize(n).items()):
             per_prime.append([tuple(p**e for e in part) for part in _partitions(k)])

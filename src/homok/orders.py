@@ -3,20 +3,18 @@ integers ``u`` congruent to 1 mod k.
 
 Two routes are provided on purpose. ``higher_order`` evaluates the closed
 form (multiplicative in d, with explicit prime-power values) and is what the
-rest of the package uses; ``higher_order_oracle`` computes the defining gcd
-term by term until it stabilizes and exists purely to keep the closed form
-honest in tests.
+rest of the package uses; ``higher_order_oracle`` folds the defining gcd
+over exactly |d| terms, which a forward-difference argument shows is enough,
+and exists purely to keep the closed form honest in tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .arith import factorize, is_prime
 
 __all__ = [
-    "OraclePolicy",
     "OracleStabilizationError",
     "higher_order",
     "higher_order_oracle",
@@ -25,25 +23,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OraclePolicy:
-    """Stopping rule for the term-by-term gcd: take at least ``min_terms``
-    terms, stop once ``stable_window`` consecutive terms leave the gcd
-    unchanged, and give up at ``max_terms``."""
-
-    min_terms: int = 16
-    stable_window: int = 8
-    max_terms: int = 512
-
-    def __post_init__(self):
-        if not 1 <= self.min_terms <= self.max_terms:
-            raise ValueError("need 1 <= min_terms <= max_terms")
-        if self.stable_window < 1:
-            raise ValueError("stable_window must be >= 1")
+# the largest |d| the oracle folds; above it the fold is refused up front
+ORACLE_MAX_TERMS = 512
 
 
 class OracleStabilizationError(RuntimeError):
-    """The defining gcd did not stabilize within the configured budget."""
+    """The degree needs more terms than the oracle's budget of
+    ``ORACLE_MAX_TERMS``."""
 
 
 def _validate_k(k: int) -> None:
@@ -51,42 +37,30 @@ def _validate_k(k: int) -> None:
         raise ValueError(f"order is defined for k >= 1, got {k}")
 
 
-def higher_order_oracle(d: int, k: int, policy: OraclePolicy = OraclePolicy()) -> int:
+def higher_order_oracle(d: int, k: int) -> int:
     """The d-th order of k straight from the definition.
 
-    Folds ``gcd`` over ``u**|d| - 1`` for ``u = 1 + k, 1 + 2k, ...`` (the
+    Folds ``gcd`` over ``u**|d| - 1`` for ``u = 1 + i*k``, i = 1..|d| (the
     order is insensitive to the sign of d). Raises
-    ``OracleStabilizationError`` if the fold is still moving at
-    ``max_terms``, or up front if ``max_terms`` is below |d| + 1.
+    ``OracleStabilizationError`` up front if |d| exceeds
+    ``ORACLE_MAX_TERMS``.
 
-    The stopping window may close only after |d| + 1 terms (or
-    ``min_terms``, if more). Modulo a prime p not dividing k, the first
-    |d| + 1 values of ``u`` are distinct (or cover every residue), and at
-    most |d| residues solve ``x**|d| = 1``, so no such p survives them; the
-    window then only settles the valuations of the primes of k.
+    These |d| terms are exact: ``P(i) = (1 + i*k)**|d| - 1`` is an integer
+    polynomial in i of degree |d| with ``P(0) = 0``, so by Newton's forward
+    differences every ``P(n)``, n any integer, is an integer combination of
+    ``P(0), ..., P(|d|)``. Those values therefore share their gcd with P
+    over all ``u = 1 (mod k)``, negative i included.
     """
     _validate_k(k)
     if d == 0:
         return 0
     e = abs(d)
-    if policy.max_terms < e + 1:
+    if e > ORACLE_MAX_TERMS:
         raise OracleStabilizationError(
-            f"gcd for d={d} needs at least {e + 1} terms, over the budget "
-            f"of {policy.max_terms}"
+            f"gcd for d={d} needs {e} terms, over the budget of "
+            f"{ORACLE_MAX_TERMS}"
         )
-    min_terms = max(policy.min_terms, e + 1)
-    value = 0
-    unchanged = 0
-    for i in range(1, policy.max_terms + 1):
-        u = 1 + i * k
-        new = gcd(value, u**e - 1)
-        unchanged = unchanged + 1 if new == value else 0
-        value = new
-        if i >= min_terms and unchanged >= policy.stable_window:
-            return value
-    raise OracleStabilizationError(
-        f"gcd for d={d}, k={k} still changing after {policy.max_terms} terms"
-    )
+    return gcd(*((1 + i * k) ** e - 1 for i in range(1, e + 1)))
 
 
 def o_prime_power(p: int, s: int, k: int) -> int:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .arith import factorize, is_prime, xgcd
+from .groups import InternalInvariantError
 
 IntMatrix = list[list[int]]
 
@@ -281,7 +282,9 @@ def _express_relations(basis: IntMatrix, moduli: list[int]) -> IntMatrix:
                 continue
             f, bad = divmod(val, basis[c][c])
             if bad:
-                raise ArithmeticError("relation row does not lie in the lattice")
+                raise InternalInvariantError(
+                    "relation row does not lie in the folded lattice"
+                )
             x[c] = f
             for j, b in tails[c]:
                 rem[j] -= f * b

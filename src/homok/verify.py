@@ -403,22 +403,28 @@ def available_suites() -> tuple[str, ...]:
     return tuple(SUITES)
 
 
-def run_suite(name: str, fail_fast: bool = False, **params) -> SuiteResult:
-    """Run one suite. Extra keyword parameters (kmax, dmax, seed, ...) are
-    forwarded when the suite takes them and rejected otherwise."""
+def suite_parameters(name: str) -> frozenset[str]:
+    """The keyword parameters (kmax, dmax, seed, ...) that a suite takes."""
     try:
         gen = SUITES[name]
     except KeyError:
         raise ValueError(
             f"unknown suite {name!r}; available: {', '.join(SUITES)}"
         ) from None
-    accepted = inspect.signature(gen).parameters
+    return frozenset(inspect.signature(gen).parameters)
+
+
+def run_suite(name: str, fail_fast: bool = False, **params) -> SuiteResult:
+    """Run one suite. Extra keyword parameters (kmax, dmax, seed, ...) are
+    forwarded when the suite takes them; one it does not take is rejected
+    before any check runs."""
+    accepted = suite_parameters(name)
     kwargs = {k: v for k, v in params.items() if v is not None}
     for k in kwargs:
         if k not in accepted:
             raise ValueError(f"suite {name!r} does not take a {k!r} parameter")
     result = SuiteResult(name)
-    for ok, detail in gen(**kwargs):
+    for ok, detail in SUITES[name](**kwargs):
         result.checks += 1
         if not ok:
             result.failures.append(detail)

@@ -14,6 +14,7 @@ import pytest
 
 import homok.cocyclic
 import homok.groups
+import homok.snf
 from homok import cli, verify
 from homok.bracket import graded_presentation
 from homok.cli import ResultCache, _family_factors, _parse_primes, _pool_size, main
@@ -100,6 +101,24 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "order bookkeeping" in err and "please report" in err
+
+    def test_broken_fold_exits_1(self, monkeypatch, capsys):
+        # a fold whose pivots are doubled no longer holds the relation rows
+        monkeypatch.delenv("HOMOK_CACHE_DIR", raising=False)
+        real = homok.snf._hermite_basis
+        monkeypatch.setattr(
+            homok.snf,
+            "_hermite_basis",
+            lambda r, m: [[2 * x for x in row] for row in real(r, m)],
+        )
+        homok.cocyclic.sk1_invariants.cache_clear()
+        try:
+            code, out, err = run_cli(["sk1", "--group", "9,3"], capsys)
+        finally:
+            homok.cocyclic.sk1_invariants.cache_clear()
+        assert code == 1
+        assert out == ""
+        assert "folded lattice" in err and "please report" in err
 
     def test_broken_transfer_invariant_exits_1_under_optimize(self, tmp_path):
         # reduction mod 3 from Z/9, with the image size forced to 7 so that
@@ -216,7 +235,7 @@ class TestDocuments:
     def test_od_oracle_over_its_budget_exits_1(self, capsys):
         code, out, err = run_cli(["od", "--d", "600", "--k", "3", "--oracle"], capsys)
         assert (code, out) == (1, "")
-        assert "at least 601 terms" in err and "budget of 512" in err
+        assert "needs 600 terms" in err and "budget of 512" in err
 
     def test_od_json(self, capsys):
         code, out, _ = run_cli(
@@ -342,6 +361,31 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "does not take" in err
+
+    def test_all_gives_each_suite_only_the_bounds_it_takes(self, capsys, monkeypatch):
+        seen = {}
+
+        def grid(kmax=5, dmax=5):
+            seen["grid"] = (kmax, dmax)
+            yield True, "fine"
+
+        def fixed():
+            seen["fixed"] = ()
+            yield True, "fine"
+
+        monkeypatch.setattr(verify, "SUITES", {"grid": grid, "fixed": fixed})
+        code, out, err = run_cli(
+            ["verify", "--suite", "all", "--kmax", "3", "--dmax", "2"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out == "suite grid: 1 checks passed\nsuite fixed: 1 checks passed\n"
+        assert seen == {"grid": (3, 2), "fixed": ()}
+
+        # named, the suite is refused the bound before it runs
+        seen.clear()
+        code, out, err = run_cli(["verify", "--suite", "fixed", "--kmax", "3"], capsys)
+        assert (code, out, seen) == (2, "", {})
+        assert "does not take a 'kmax' parameter" in err
 
     @pytest.mark.parametrize(
         "bounds, named",

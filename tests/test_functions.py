@@ -13,7 +13,6 @@ from homok.functions import (
     from_generator_values,
     is_homogeneous,
     to_coordinates,
-    zero_table,
 )
 from homok.groups import Group, RationalResidue, element_order
 
@@ -68,9 +67,12 @@ class TestHomogeneity:
         assert n % 3 == 1 or n % 3 == 2
 
     def test_zero_tables_are_homogeneous(self):
+        g, h = Group((3, 9)), Group((5,))
         for d in (0, 1, 3, -2):
-            assert is_homogeneous(zero_table(Group((3, 9)), d))
-            assert is_homogeneous(zero_table(Group((5,)), d, Group((10,))))
+            scalar = (0 if d == 0 else Q(0, 1),) * g.order
+            assert is_homogeneous(FunctionTable(g, d, scalar))
+            zeros = ((0,),) * h.order
+            assert is_homogeneous(FunctionTable(h, d, zeros, Group((10,))))
 
     def test_degree_zero_means_constant_on_generator_orbits(self):
         g = Group((9,))

@@ -62,12 +62,14 @@ def test_parse_group_spec_rejects(bad):
         parse_group_spec(bad)
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         parse_group_spec("100001")
     with pytest.raises(CapExceededError):
         Group((101, 1009))
-    assert Group((101, 1009), cap=110_000).order == 101909
+    monkeypatch.setattr(homok.groups, "DEFAULT_CAP", 110_000)
+    assert Group((101, 1009)).order == 101909
+    assert parse_group_spec("101,1009").order == 101909
 
 
 def test_canonical_invariants():

@@ -6,7 +6,6 @@ from math import gcd
 import pytest
 
 from homok.orders import (
-    OraclePolicy,
     OracleStabilizationError,
     higher_order,
     higher_order_oracle,
@@ -47,24 +46,39 @@ def test_first_order_is_identity():
         assert higher_order(1, k) == k
 
 
+def _short_fold(d, k):
+    """The oracle's fold one term short: |d| - 1 terms."""
+    return reduce(gcd, [(1 + i * k) ** abs(d) - 1 for i in range(1, abs(d))], 0)
+
+
 # 36, 66 and 100: the primes 37, 67 and 101 (p - 1 | d) divide the first
-# p - 1 terms of the fold, so a floor of 16 terms (36) or of 64 terms (66,
-# 100) let the window stop on a wrong gcd
+# p - 1 terms of the fold. The cells in TIGHT need every one of the |d|
+# terms: |d| - 1 of them give a wrong gcd.
+TIGHT = [(2, 1), (2, 3), (4, 6), (6, 8), (-6, 15), (28, 1), (28, 30)]
+
+
 @pytest.mark.parametrize(
-    "d", list(range(1, 13)) + [15, 16, 18, 24, 36, 66, 100, -6, -8, -66]
+    "d", list(range(1, 13)) + [15, 16, 18, 24, 28, 36, 66, 100, -6, -8, -66]
 )
 def test_closed_form_matches_oracle(d):
     for k in range(1, 41):
         assert higher_order(d, k) == higher_order_oracle(d, k), (d, k)
 
 
+@pytest.mark.parametrize("d, k", TIGHT)
+def test_closed_form_matches_oracle_on_tight_cells(d, k):
+    assert higher_order_oracle(d, k) == higher_order(d, k)
+    assert _short_fold(d, k) != higher_order(d, k)
+
+
 def test_oracle_refuses_a_budget_below_the_degree():
-    with pytest.raises(OracleStabilizationError, match="at least 601 terms"):
-        higher_order_oracle(600, 3)
-    with pytest.raises(OracleStabilizationError, match="budget of 9"):
-        higher_order_oracle(-10, 3, OraclePolicy(min_terms=1, max_terms=9))
-    roomy = OraclePolicy(min_terms=1, max_terms=64)
-    assert higher_order_oracle(-10, 3, roomy) == higher_order(-10, 3)
+    for d in (512, -512):
+        assert higher_order_oracle(d, 3) == higher_order(d, 3)
+    for d in (513, 600):
+        with pytest.raises(
+            OracleStabilizationError, match=f"needs {d} terms.*budget of 512"
+        ):
+            higher_order_oracle(d, 3)
 
 
 def test_k_divides_order_and_order_divides_multiples():
@@ -85,19 +99,6 @@ def test_o_prime_power_validation():
         higher_order(2, 0)
     with pytest.raises(ValueError):
         higher_order_oracle(2, -1)
-
-
-def test_oracle_policy():
-    with pytest.raises(ValueError):
-        OraclePolicy(min_terms=0)
-    with pytest.raises(ValueError):
-        OraclePolicy(min_terms=10, max_terms=5)
-    with pytest.raises(ValueError):
-        OraclePolicy(stable_window=0)
-    # a budget too small to ever see a stable window
-    tight = OraclePolicy(min_terms=1, stable_window=50, max_terms=3)
-    with pytest.raises(OracleStabilizationError):
-        higher_order_oracle(2, 6, tight)
 
 
 def test_vp_factorial():
