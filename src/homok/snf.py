@@ -4,7 +4,7 @@ invariant factors of quotients and subgroups of ``Z/m1 x ... x Z/mq``.
 Matrices are plain ``list[list[int]]`` acting on row vectors; a subgroup of
 the ambient group is described by generator rows together with the implicit
 relation rows ``m_j * e_j``. Quotient and subgroup invariants come from one
-triangular fold and an elimination over ``Z/p^n`` per prime
+triangular fold and two eliminations over ``Z/p^n`` per prime
 (``lattice_invariants``), or, when the ambient exponent is prime, from one
 rank over that field; the generic Smith form serves the public
 ``smith_normal_form``/``smith_diagonal`` and ``subgroup_basis``.
@@ -13,10 +13,10 @@ rank over that field; the generic Smith form serves the public
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .arith import factorize, is_prime, xgcd
-from .groups import InternalInvariantError
+from .groups import InternalInvariantError, invariant_factors_from_orders
 
 IntMatrix = list[list[int]]
 
@@ -260,97 +260,62 @@ def _hermite_basis(rows: IntMatrix, moduli: list[int]) -> IntMatrix:
     return basis
 
 
-def _express_relations(basis: IntMatrix, moduli: list[int]) -> IntMatrix:
-    """Integer matrix ``X`` with ``X @ basis == diag(moduli)``.
-
-    ``basis`` is upper triangular with positive pivots, so row i of ``X`` is
-    exact back-substitution of ``moduli[i] * e_i``: each solved coordinate
-    subtracts its multiple of one basis row from the remainder, touching
-    only that row's nonzero entries.
-    """
-    q = len(moduli)
-    tails = [[(j, b) for j in range(c + 1, q) if (b := brow[j])]
-             for c, brow in enumerate(basis)]
-    out = []
-    for i, m in enumerate(moduli):
-        rem = [0] * q
-        rem[i] = m
-        x = [0] * q
-        for c in range(i, q):
-            val = rem[c]
-            if not val:
-                continue
-            f, bad = divmod(val, basis[c][c])
-            if bad:
-                raise InternalInvariantError(
-                    "relation row does not lie in the folded lattice"
-                )
-            x[c] = f
-            for j, b in tails[c]:
-                rem[j] -= f * b
-        out.append(x)
-    return out
+def _checked_fold(rows: IntMatrix, moduli: list[int]) -> IntMatrix:
+    """``_hermite_basis``, checked: the relation row ``m_j e_j`` lies in the
+    folded lattice only if pivot j divides ``m_j``."""
+    basis = _hermite_basis(rows, moduli)
+    if any(m % brow[c] for c, (brow, m) in enumerate(zip(basis, moduli))):
+        raise InternalInvariantError(
+            "relation row does not lie in the folded lattice"
+        )
+    return basis
 
 
 def _local_exponents(mat: IntMatrix, p: int, n: int) -> list[int]:
-    """Exponents of the p-primary part of ``Z^w / rowspan(mat)`` (w the
-    width of ``mat``), for a lattice whose cokernel is killed by ``p^n``.
+    """p-valuations v of the pivots of ``mat`` over ``Z/p^n``: its row span
+    there is ``+ Z/p^(n-v)``, and ``Z^w / rowspan(mat)`` (w its width) has
+    p-part ``+ Z/p^v`` plus one ``Z/p^n`` per column never pivoted.
 
     Elimination over the local ring ``Z/p^n``: pivot on an entry of least
     p-valuation v, scale its row by the inverse of its unit part so the
     pivot reads ``p^v``, and clear the pivot's column with row operations.
     Every entry of the pivot row is then a multiple of ``p^v``, so column
     operations would clear the rest of the row without touching any other
-    row: the pivot row splits off as ``Z/p^v`` and is dropped. Columns never
-    pivoted contribute ``Z/p^n`` each. No gcds, no column pass, and every
-    entry stays below ``p^n``.
+    row: the pivot row splits off and is dropped. No gcds, no column pass,
+    and every entry stays below ``p^n``.
     """
     pn = p**n
-    width = len(mat[0]) if mat else 0
     rows = [r for r in ([x % pn for x in row] for row in mat) if any(r)]
     exps: list[int] = []
-    pivots = 0
-    v, pv = 0, 1
-    while rows:
-        # every remaining entry is a multiple of p^v; find one that is not
-        # a multiple of p^(v+1)
+    v, pv, start = 0, 1, 0
+    while rows and v < n:  # past p^(n-1) only zero rows can remain
+        # every remaining entry is a multiple of p^v; find one that is not a
+        # multiple of p^(v+1), which no pivot gives the rows before ``start``
         step = pv * p
         hit = next(
-            ((i, j) for i, row in enumerate(rows)
-             for j, x in enumerate(row) if x % step),
+            ((i, j) for i in range(start, len(rows))
+             for j, x in enumerate(rows[i]) if x % step),
             None,
         )
         if hit is None:
-            v, pv = v + 1, step
+            v, pv, start = v + 1, step, 0
             continue
         i, j = hit
         prow = rows.pop(i)
         unit_inv = pow(prow[j] // pv, -1, pn)
         support = [(k, x * unit_inv % pn) for k, x in enumerate(prow) if x]
         kept = []
-        for row in rows:
+        for r, row in enumerate(rows):
             f = row[j] // pv
             if f:
                 for k, b in support:
                     row[k] = (row[k] - f * b) % pn
-                if not any(row):
+                if r >= i and not any(row):  # rows before i stay: start = i
                     continue
             kept.append(row)
-        rows = kept
-        pivots += 1
-        if v:
-            exps.append(v)
-    return exps + [n] * (width - pivots)
-
-
-def _chain(local: list[tuple[int, list[int]]]) -> tuple[int, ...]:
-    """Ascending invariant factors from each prime's exponents."""
-    width = max((len(exps) for _, exps in local), default=0)
-    chain = [1] * width
-    for p, exps in local:
-        for slot, v in enumerate(sorted(exps, reverse=True)):
-            chain[width - 1 - slot] *= p**v
-    return tuple(chain)
+        rows, start = kept, i
+        exps.append(v)
+    return exps
 
 
 def lattice_invariants(
@@ -360,29 +325,38 @@ def lattice_invariants(
     and of the subgroup ``<rows>`` itself, from one Hermite fold.
 
     With B the triangular basis of ``rows`` stacked on ``diag(moduli)``, the
-    quotient is ``Z^q / rowspan(B)`` and the subgroup is ``Z^q /
-    rowspan(X)`` for ``X @ B == diag(moduli)``. Both are killed by the
-    exponent e of the ambient group, so for each prime p of e their
-    p-parts are read off B and X reduced mod ``p^v_p(e)``. When e is
-    prime the ambient group is a vector space over F_e, and the rank r of
-    the rows there gives both: ``(e,) * (live - r)`` and ``(e,) * r``, live
-    the columns of modulus e. Each chain is ascending with unit factors
-    dropped.
+    quotient is ``Z^q / rowspan(B)``, killed by the exponent e of the
+    ambient group; for each prime power ``p^n`` exactly dividing e, its
+    p-part is read off B reduced mod ``p^n``. ``x_j -> p^(n-v_p(m_j)) x_j``
+    embeds the p-part of the ambient group in ``(Z/p^n)^q``, so the p-part
+    of the subgroup is the row span of B scaled that way; rows of B still
+    equal to their relation ``m_j e_j`` scale to 0 and are skipped. When e
+    is prime the ambient group is a vector space over F_e, and the rank r
+    of the rows there gives both: ``(e,) * (live - r)`` and ``(e,) * r``,
+    live the columns of modulus e. Each chain is ascending with unit
+    factors dropped.
     """
     _validate_ambient(rows, moduli)
     e = lcm(*moduli)
     if is_prime(e):  # every modulus is 1 or e: a vector space over F_e
         live = [c for c, m in enumerate(moduli) if m == e]
         rows = [[row[c] for c in live] for row in rows]
-        rank = len(live) - len(_local_exponents(rows, e, 1)) if rows else 0
+        rank = len(_local_exponents(rows, e, 1))
         return (e,) * (len(live) - rank), (e,) * rank
-    basis = _hermite_basis(rows, moduli)
-    relations = _express_relations(basis, moduli)
+    basis = _checked_fold(rows, moduli)
+    moved = [brow for c, brow in enumerate(basis) if brow[c] != moduli[c]]
     quotient, subgroup = [], []
     for p, n in factorize(e).items():
-        quotient.append((p, _local_exponents(basis, p, n)))
-        subgroup.append((p, _local_exponents(relations, p, n)))
-    return _chain(quotient), _chain(subgroup)
+        pn = p**n
+        pivots = _local_exponents(basis, p, n)
+        quotient += [p**v for v in pivots if v] + [pn] * (len(moduli) - len(pivots))
+        scale = [(j, pn // gcd(m, pn)) for j, m in enumerate(moduli) if m % p == 0]
+        scaled = [[brow[j] * s for j, s in scale] for brow in moved]
+        subgroup += [p ** (n - v) for v in _local_exponents(scaled, p, n)]
+    return (
+        invariant_factors_from_orders(quotient),
+        invariant_factors_from_orders(subgroup),
+    )
 
 
 def cokernel_invariants(rows: IntMatrix, moduli: list[int]) -> tuple[int, ...]:
@@ -406,20 +380,21 @@ def subgroup_basis(
     Returns ``[(vector, order), ...]`` with orders forming the ascending
     divisor chain; the vectors generate the subgroup as a direct sum of
     cyclic pieces of exactly those orders.
+
+    ``x_j -> (e / m_j) x_j`` embeds the ambient group in ``(Z/e)^q``, e its
+    exponent. If ``U @ C @ V == S`` for B scaled that way, V is an
+    automorphism of ``(Z/e)^q`` taking the rows of ``U @ C`` to ``S[i][i] *
+    e_i``: the rows of ``U @ B`` have orders ``e / gcd(S[i][i], e)``.
     """
     _validate_ambient(rows, moduli)
-    basis = _hermite_basis(rows, moduli)
-    x = _express_relations(basis, moduli)
-    _, s, v = _smith(x, want_transforms=True)
-    # X = U^-1 S V^-1, so the lattice of relations diag(moduli) equals
-    # S @ (V^-1 @ basis): rows of V^-1 @ basis generate the subgroup with
-    # the Smith diagonal as their orders in it.
-    new_basis = matmul(invert_unimodular(v), basis)
+    e = lcm(*moduli)
+    basis = _checked_fold(rows, moduli)
+    u, s, _ = smith_normal_form(
+        [[x * (e // m) for x, m in zip(brow, moduli)] for brow in basis]
+    )
     out = []
-    for i, brow in enumerate(new_basis):
-        order = s[i][i]
-        if order == 1:
-            continue
-        vec = tuple(x % m for x, m in zip(brow, moduli))
-        out.append((vec, order))
-    return out
+    for i, brow in enumerate(matmul(u, basis)):
+        order = e // gcd(s[i][i], e)
+        if order > 1:
+            out.append((tuple(x % m for x, m in zip(brow, moduli)), order))
+    return out[::-1]

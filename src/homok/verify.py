@@ -266,6 +266,28 @@ def ados_formula():
             k += 1
 
 
+def ados_odd():
+    """Odd groups against two statements from outside this package (ADOS,
+    Invent. Math. 87, 1987, as above; R. Oliver, "Whitehead Groups of Finite
+    Groups", 1988, ch. 9): for odd |G| <= 400, SK1(Z[G]) = 0 exactly when
+    every Sylow subgroup is C_(p^n) or C_p x C_(p^n), that is when G has at
+    most two invariant factors and the first of two is squarefree; and
+    SK1(Z[C_(p^2) x C_(p^2)]) is (Z/p)^(p-1) for p = 3, 5, 7, 11."""
+    for group in all_abelian_groups(400):
+        if group.order % 2 == 0:
+            continue
+        inv = group.invariant_factors
+        vanishes = len(inv) < 2 or (
+            len(inv) == 2 and max(factorize(inv[0]).values()) == 1)
+        got = sk1_invariants(group).quotient_invariants
+        yield (got == ()) == vanishes, (
+            f"G = {group.spec}: quotient {got}, ADOS: vanishes = {vanishes}"
+        )
+    for p in (3, 5, 7, 11):
+        got = sk1_invariants(Group((p * p, p * p))).quotient_invariants
+        yield got == (p,) * (p - 1), f"G = ({p * p})^2: quotient {got}"
+
+
 def _random_degree_one_map(rng, src: Group, dst: Group) -> FunctionTable:
     pres = graded_presentation(src, 1)
     elems = list(dst.elements())
@@ -396,6 +418,7 @@ SUITES = {
     "thm216": cocyclic_assembly,
     "prop32": transfer_laws,
     "ados": ados_formula,
+    "ados-odd": ados_odd,
 }
 
 

@@ -326,6 +326,23 @@ def test_criterion_13_elementary_quotient_matches_ados():
     )
 
 
+def test_criterion_14_odd_quotients_match_ados():
+    # Alperin, Dennis, Oliver, Stein (Invent. Math. 87, 1987), and R. Oliver,
+    # "Whitehead Groups of Finite Groups" (1988), ch. 9: for odd |G|,
+    # SK_1(Z[G]) = 0 exactly when every Sylow subgroup is C_(p^n) or
+    # C_p x C_(p^n), and SK_1(Z[C_(p^2) x C_(p^2)]) is (Z/p)^(p-1)
+    t0 = time.monotonic()
+    result = run_suite("ados-odd")
+    elapsed = time.monotonic() - t0
+    _report(
+        14,
+        result.passed and result.checks == 256 + 4,
+        "SK1 vanishing on the 256 odd groups of order <= 400; "
+        "(p^2, p^2) quotients = (p)^(p-1) for p = 3, 5, 7, 11",
+        elapsed,
+    )
+
+
 def test_all_is_prime_consistency():
     # tiny guard for the helpers this module leans on
     assert [p for p in range(2, 32) if is_prime(p)] == [

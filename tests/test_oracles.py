@@ -17,7 +17,7 @@ from homok.oracles import (
     span_in_ambient,
 )
 from homok.orders import higher_order
-from homok.snf import cokernel_invariants, subgroup_invariants
+from homok.snf import cokernel_invariants, subgroup_basis, subgroup_invariants
 
 
 class TestCounting:
@@ -87,8 +87,9 @@ class TestProfiles:
 
     def test_random_spans_match_smith_invariants(self):
         rng = random.Random(20260822)
-        pools = [[2, 4], [3, 3], [2, 6], [9], [5, 5], [2, 2, 2], [12], [3, 9]]
-        for _ in range(60):
+        pools = [[2, 4], [3, 3], [2, 6], [9], [5, 5], [2, 2, 2], [12], [3, 9],
+                 [2, 4, 8], [3, 9, 27], [4, 4, 2], [9, 3, 3]]
+        for _ in range(120):
             moduli = rng.choice(pools)
             rows = [
                 [rng.randrange(m) for m in moduli]
@@ -98,6 +99,11 @@ class TestProfiles:
             sub = subgroup_invariants(rows, moduli)
             assert prod(sub) == len(span)
             assert invariants_match_profile(sub, order_profile(span, moduli))
+            basis = subgroup_basis(rows, moduli)
+            assert span_in_ambient([list(v) for v, _ in basis], moduli) == span
+            for vec, order in basis:
+                assert len(span_in_ambient([list(vec)], moduli)) == order
+            assert tuple(order for _, order in basis) == sub
 
             quo = cokernel_invariants(rows, moduli)
             ambient = list(itertools.product(*(range(m) for m in moduli)))

@@ -214,3 +214,7 @@ def test_lattice_invariants_edge_cases():
     assert lattice_invariants([], [3, 3]) == ((3, 3), ())
     assert lattice_invariants([], [1, 7]) == ((7,), ())
     assert lattice_invariants([[4, -2, 1], [1, 1, -2]], [3, 1, 3]) == ((3,), (3,))
+    # rows cleared to zero before a pivot row keep their place, so the next
+    # pivot search resumes at that row's index
+    assert lattice_invariants([[3, 3, 3], [3, 6, 5]], [8, 27, 9]) == ((3,), (9, 72))
+    assert lattice_invariants([[8, 6, 5], [3, 2, 0]], [27, 8, 4]) == ((2,), (4, 108))

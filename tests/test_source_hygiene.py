@@ -22,6 +22,7 @@ UNCALLED_PUBLIC = {
     "snf.py determinant": "the unimodularity check of acceptance criterion 11",
     "snf.py smith_diagonal": "timed by name in perfbench/ (ROADMAP item 1)",
     "snf.py subgroup_basis": "timed by name in perfbench/ (ROADMAP item 1)",
+    "snf.py invert_unimodular": "timed by name in perfbench/ (ROADMAP item 1)",
 }
 
 

@@ -16,6 +16,7 @@ def test_registry_names():
         "thm216",
         "prop32",
         "ados",
+        "ados-odd",
     )
 
 
