@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import ge
 
 from .arith import factorize, vp
 
@@ -179,8 +180,10 @@ class Group:
         return tuple(reversed(out))
 
     def validate_element(self, g: GroupElement) -> None:
-        if len(g) != len(self.factor_orders) or any(
-            not 0 <= x < n for x, n in zip(g, self.factor_orders)
+        if (
+            len(g) != len(self.factor_orders)
+            or min(g) < 0
+            or any(map(ge, g, self.factor_orders))
         ):
             raise ValueError(f"{g} is not an element of Z/{self.spec}")
 

@@ -12,7 +12,6 @@ rank over that field; the generic Smith form serves the public
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import factorize, is_prime, xgcd
@@ -171,6 +170,9 @@ def smith_diagonal(mat: IntMatrix) -> list[int]:
 
 def invert_unimodular(mat: IntMatrix) -> IntMatrix:
     """Inverse of an integer matrix with determinant +-1."""
+    # imported here: fractions loads decimal, which every start would pay for
+    from fractions import Fraction
+
     n = len(mat)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(mat)]

@@ -7,10 +7,11 @@ transfer of a homomorphism f on the source bracket sums f over preimages;
 with the monomial structure this collapses to kernel_size * f(section), and
 the literal preimage summation is kept alongside as the correctness oracle.
 
-The induced bracket map is only known to be well defined for degree +-1;
-for other degrees a per-instance audit checks every defining relation over
-its finite period and refuses the construction when one breaks (such t
-exist: squaring on Z/5 at degree 2).
+The induced bracket map is always well defined at degree 1; for other
+degrees, -1 included, a per-instance audit checks every defining relation
+over its finite period, once per cyclic subgroup of the source, and
+refuses the construction when one breaks (such t exist: squaring on Z/5 at
+degree 2, x -> 1/x mod 5 on Z/5 at degree -1).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .bracket import GradedPresentation, graded_presentation, project_element
-from .functions import FunctionTable, is_homogeneous
+from .functions import FunctionTable, generator_orbits, is_homogeneous
 from .groups import QZ_ZERO, InternalInvariantError, RationalResidue
 
 
@@ -119,30 +120,37 @@ def induced_graded_map(table: FunctionTable) -> InducedGradedMap:
 def _audit_relations(
     table: FunctionTable, target: GradedPresentation, d: int, value_proj: dict
 ) -> None:
-    """Exhaustively check that every defining relation [n*g] - n^d*[g] of
-    the source bracket maps to a relation of the target bracket.
+    """Check that every defining relation [n*g] - n^d*[g] of the source
+    bracket maps to a relation of the target bracket, and raise at the
+    first one that does not.
 
     For fixed g both sides are periodic in n with period
     lcm(o(g), target modulus at [t(g)]), so the finite range decides all
-    integers n. Degree +-1 always passes (the map is functorial there);
-    other degrees genuinely can fail. ``value_proj`` carries the projection
-    of every value of the table, keyed by codomain element index.
+    integers n. Degree 1 always passes; other degrees genuinely can fail,
+    -1 included: [t(n*g)] = [n^d*t(g)] = n^(d*d)*[t(g)], so the relation
+    needs n^(d*(d-1)) = 1 on the coordinate (squaring on Z/5 fails at
+    degree 2, x -> 1/x mod 5 on Z/5 at degree -1). ``value_proj`` carries
+    the projection of every value of the table, keyed by codomain element
+    index.
+
+    The relations hold at g exactly when they hold at every generator of
+    <g> (the argument of ``is_homogeneous``, applied to the projected map
+    g -> [t(g)]), so only the canonical generators are checked, in
+    element-index order, and the first failure is the one an
+    element-by-element scan would report.
     """
-    g_dom = table.domain
     codomain = table.codomain
-    for g in g_dom.elements():
-        o = 1
-        for x, n in zip(g, g_dom.factor_orders):
-            o = lcm(o, n // gcd(n, x))
-        j0, c0 = value_proj[codomain.element_index(table.value_at(g))]
+    for g, o, orbit in generator_orbits(table):
+        proj = {
+            r: value_proj[codomain.element_index(v)] for r, v in orbit.items()
+        }
+        j0, c0 = proj[1 % o]
         m0 = target.moduli[j0]
         span = lcm(o, m0)
         for n in range(1, span + 1):
             if gcd(n, o) != 1:
                 continue
-            j1, c1 = value_proj[
-                codomain.element_index(table.value_at(g_dom.scale(n, g)))
-            ]
+            j1, c1 = proj[n % o]
             m1 = target.moduli[j1]
             rhs = (pow(n, d, m0) * c0) % m0
             if j0 == j1:

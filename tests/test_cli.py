@@ -54,6 +54,24 @@ class TestExitCodes:
         assert code == 1
         assert "relation" in err
 
+    def test_degree_minus_one_job_is_refused(self, tmp_path, capsys):
+        # t(x) = 1/x mod 5 is homogeneous of degree -1, but the induced
+        # bracket map is not defined: [t(2x)] = 2^(d*d)*[t(x)], not 2^d*[t(x)]
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"d": -1, "source": "5", "target": "5",
+                                   "t_values": [[0], [1], [3], [2], [4]]}))
+        code, out, err = run_cli(["transfer", "--job", str(job)], capsys)
+        assert (code, out) == (1, "")
+        assert (
+            "relation [n*g] = n^d*[g] breaks at g=(1,), n=2, degree -1" in err
+        )
+        # degree 1 always passes the audit
+        job.write_text(json.dumps({"d": 1, "source": "5", "target": "5",
+                                   "t_values": [[0], [1], [2], [3], [4]]}))
+        code, out, err = run_cli(["transfer", "--job", str(job)], capsys)
+        assert (code, err) == (0, "")
+        assert "kernel size: 1" in out
+
     def test_incomplete_job(self, tmp_path, capsys):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"d": 1, "source": "3"}))
@@ -490,6 +508,18 @@ class TestFrontEnd:
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
         assert proc.stdout == "False\n"
+
+    def test_import_leaves_out_fractions(self):
+        # fractions loads decimal, several milliseconds on every start
+        script = (
+            "import sys, homok.cli\n"
+            "homok.cli.build_parser()\n"
+            "print('fractions' in sys.modules, 'decimal' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "False False\n"
 
 
 class TestCache:

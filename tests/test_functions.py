@@ -3,18 +3,22 @@
 import random
 import subprocess
 import sys
+from math import gcd, lcm
 
 import pytest
 
 from homok.bracket import Target, graded_presentation
 from homok.functions import (
     FunctionTable,
+    HomogeneityReport,
+    _scale_power,
+    _value_order,
     from_coordinates,
     from_generator_values,
     is_homogeneous,
     to_coordinates,
 )
-from homok.groups import Group, RationalResidue, element_order
+from homok.groups import Group, RationalResidue, cyclic_subgroups, element_order
 
 Q = RationalResidue.of
 
@@ -241,3 +245,141 @@ def test_value_orders_bounded_by_argument_orders_degree_one():
     for x in g.elements():
         o = element_order(g, x)
         assert o % t.value_at(x).order == 0
+
+
+def reference_is_homogeneous(table: FunctionTable) -> HomogeneityReport:
+    """The identity checked at every element of the domain, in index order:
+    the element-by-element scan that ``is_homogeneous`` must agree with."""
+    g, c, d = table.domain, table.codomain, table.degree
+    for x in g.elements():
+        o = element_order(g, x)
+        fx = table.value_at(x)
+        span = o
+        for n in range(1, o + 1):
+            if gcd(n, o) == 1:
+                span = lcm(span, _value_order(c, d, table.value_at(g.scale(n, x))))
+        for n in range(1, span + 1):
+            if gcd(n, o) != 1:
+                continue
+            fnx = table.value_at(g.scale(n, x))
+            if d >= 0:
+                ok = fnx == _scale_power(c, d, n, d, fx)
+            else:
+                ok = _scale_power(c, d, n, -d, fnx) == fx
+            if not ok:
+                return HomogeneityReport(
+                    False,
+                    (x, n),
+                    f"identity fails at x={x}, n={n}: f(nx)={fnx}, f(x)={fx}",
+                )
+    return HomogeneityReport(True)
+
+
+def orbit_extended_table(group, degree, codomain, pick) -> FunctionTable:
+    """A table with a value ``pick(o)`` at each canonical generator x (zero
+    at 0 for a nonzero degree), set to n^d times that value at n*x wherever
+    the power is defined (and to the value itself where it is not).
+    Homogeneous when each value's order suits its orbit, otherwise it fails
+    somewhere on the orbit."""
+    values = [None] * group.order
+    for rec in cyclic_subgroups(group):
+        x, o = rec.canonical_generator, rec.subgroup_order
+        y = pick(o)
+        if o == 1 and degree != 0:  # a nonzero degree forces f(0) = 0
+            y = codomain.zero if codomain else Q(0, 1)
+        for n in range(1, o + 1):
+            if gcd(n, o) != 1:
+                continue
+            try:
+                v = _scale_power(codomain, degree, n, degree, y)
+            except ValueError:
+                v = y
+            values[group.element_index(group.scale(n, x))] = v
+    return FunctionTable(group, degree, tuple(values), codomain)
+
+
+def perturbed(rng, table: FunctionTable, pick) -> FunctionTable:
+    """``table`` with one value changed at an element that is not the
+    canonical generator of its cyclic subgroup (None if every element is)."""
+    canonical = {rec.canonical_generator for rec in cyclic_subgroups(table.domain)}
+    spots = [
+        i for i, x in enumerate(table.domain.elements()) if x not in canonical
+    ]
+    if not spots:
+        return None
+    values = list(table.values)
+    i = rng.choice(spots)
+    o = element_order(table.domain, table.domain.element_at(i))
+    new = pick(o)
+    values[i] = new if new != values[i] else pick(table.domain.exponent * 2)
+    return FunctionTable(table.domain, table.degree, tuple(values), table.codomain)
+
+
+class TestOrbitReduction:
+    """``is_homogeneous`` checks one generator per cyclic subgroup; its
+    report must be the per-element scan's, witness and text included."""
+
+    GROUPS = [(9,), (3, 9), (5, 25), (2, 4), (3, 3, 3), (15,), (1,), (2, 2, 2)]
+    CODOMAINS = [(9,), (3, 3), (5,), (2, 4), (25,), (15,), (27,)]
+
+    def pickers(self, rng, degree, codomain):
+        """Value choosers: orders that fit the orbit, then orders that may
+        not (denominators 2*o and 5*o, or anywhere in the codomain)."""
+        if codomain is None and degree == 0:
+            return [lambda o: rng.randrange(-3, 4)]
+        if codomain is None:
+            return [
+                lambda o: Q(rng.randrange(o), o),
+                lambda o: Q(rng.randrange(2 * o), 2 * o),
+                lambda o: Q(rng.randrange(5 * o), 5 * o),
+            ]
+        elems = list(codomain.elements())
+        fitting = lambda o: rng.choice(
+            [y for y in elems if o % element_order(codomain, y) == 0]
+        )
+        return [fitting, lambda o: rng.choice(elems)]
+
+    def tables(self):
+        rng = random.Random(20261019)
+        kinds = [(None, d) for d in (1, -1, 2, 3, -2)] + [(None, 0)]
+        kinds += [("group", d) for d in (0, 1, -1, 2, 3, -2)]
+        for spec in self.GROUPS:
+            group = Group(spec)
+            for kind, d in kinds:
+                for _ in range(3):
+                    codomain = (
+                        Group(rng.choice(self.CODOMAINS)) if kind else None
+                    )
+                    for pick in self.pickers(rng, d, codomain):
+                        t = orbit_extended_table(group, d, codomain, pick)
+                        yield t
+                        changed = perturbed(rng, t, pick)
+                        if changed is not None:
+                            yield changed
+
+    def test_reports_match_the_element_scan(self):
+        seen = failing = 0
+        for t in self.tables():
+            report = is_homogeneous(t)
+            assert report == reference_is_homogeneous(t), (t.domain, t.degree)
+            seen += 1
+            failing += not report
+        assert seen > 600
+        assert 0.25 * seen < failing < 0.9 * seen
+
+    def test_value_lookups_bounded_by_the_cyclic_subgroups(self, monkeypatch):
+        g, h = Group((81,)), Group((27,))
+        t = from_generator_values(
+            graded_presentation(g, 1), [(0,), (9,), (3,), (1,), (1,)], h
+        )
+        calls = 0
+        real = FunctionTable.value_at
+
+        def counted(self, x):
+            nonlocal calls
+            calls += 1
+            return real(self, x)
+
+        monkeypatch.setattr(FunctionTable, "value_at", counted)
+        assert is_homogeneous(t)
+        assert calls <= sum(rec.subgroup_order for rec in cyclic_subgroups(g))

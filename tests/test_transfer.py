@@ -1,19 +1,20 @@
 """Transfer construction, audit, and the composition laws."""
 
 import random
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 
-from homok.bracket import graded_presentation
+from homok.bracket import graded_presentation, project_element
 from homok.functions import FunctionTable, from_generator_values
-from homok.groups import Group, RationalResidue, element_order
+from homok.groups import Group, RationalResidue, cyclic_subgroups, element_order
 from homok.transfer import (
     InducedGradedMap,
     InducedMapUndefined,
     NotHomogeneousError,
     OddOrderRequired,
     TransferError,
+    _audit_relations,
     induced_graded_map,
     preimage_sum,
     pullback,
@@ -97,6 +98,19 @@ class TestRefusals:
         sq = FunctionTable(g5, 2, tuple((x * x % 5,) for (x,) in g5.elements()), g5)
         with pytest.raises(InducedMapUndefined, match=r"relation"):
             induced_graded_map(sq)
+
+    def test_degree_minus_one_can_fail_the_audit(self):
+        # t(x) = c/x mod 5 is homogeneous of degree -1, yet
+        # [t(2x)] = 2^(d*d)*[t(x)] differs from 2^d*[t(x)] unless c = 0
+        g5 = Group((5,))
+        refused = 0
+        for c in range(5):
+            values = tuple((c * pow(x, -1, 5) % 5 if x else 0,) for (x,) in g5.elements())
+            try:
+                induced_graded_map(FunctionTable(g5, -1, values, g5))
+            except InducedMapUndefined:
+                refused += 1
+        assert refused == 4
 
     def test_identity_at_degree_three_passes_the_audit(self):
         g3 = Group((3,))
@@ -280,3 +294,97 @@ def test_literal_summation_respects_the_limit():
     f = tuple(Q(0, 1) for _ in m.source.moduli)
     with pytest.raises(TransferError, match="exceeds the limit"):
         preimage_sum(m, f, 0, limit=100)
+
+
+def reference_audit(table, target, d, value_proj):
+    """Every relation [n*g] = n^d*[g] checked at every element g of the
+    source, in index order: the element-by-element scan that
+    ``_audit_relations`` must agree with."""
+    dom, codomain = table.domain, table.codomain
+    for g in dom.elements():
+        o = element_order(dom, g)
+        j0, c0 = value_proj[codomain.element_index(table.value_at(g))]
+        m0 = target.moduli[j0]
+        for n in range(1, lcm(o, m0) + 1):
+            if gcd(n, o) != 1:
+                continue
+            j1, c1 = value_proj[codomain.element_index(table.value_at(dom.scale(n, g)))]
+            m1 = target.moduli[j1]
+            rhs = (pow(n, d, m0) * c0) % m0
+            ok = c1 == rhs if j0 == j1 else c1 % m1 == 0 and rhs == 0
+            if not ok:
+                raise InducedMapUndefined(
+                    f"relation [n*g] = n^d*[g] breaks at g={g}, n={n}, "
+                    f"degree {d}: target coordinates ({j1}, {c1}) vs "
+                    f"({j0}, {rhs})"
+                )
+
+
+def audit_outcome(audit, table):
+    """None when ``audit`` passes ``table``, else its refusal text."""
+    target = graded_presentation(table.codomain, table.degree)
+    value_proj = {
+        table.codomain.element_index(w): project_element(target, w)
+        for w in set(table.values)
+    }
+    try:
+        audit(table, target, table.degree, value_proj)
+    except InducedMapUndefined as exc:
+        return str(exc)
+    return None
+
+
+class TestAuditOrbitReduction:
+    """``_audit_relations`` checks one generator per cyclic subgroup; it
+    must pass and refuse exactly the maps the per-element scan does, with
+    the same text."""
+
+    SOURCES = [(3,), (5,), (9,), (3, 3), (15,), (3, 9), (25,), (27,), (5, 5)]
+    TARGETS = [(3,), (5,), (9,), (25,), (3, 3), (15,), (27,), (3, 9)]
+
+    def maps(self):
+        rng = random.Random(20261019)
+        for d in (1, 2, 3, -1, -2):
+            for src in map(Group, self.SOURCES):
+                pres = graded_presentation(src, d)
+                for dst in map(Group, self.TARGETS):
+                    elems = list(dst.elements())
+                    for _ in range(3):
+                        images = [
+                            rng.choice(
+                                [y for y in elems if a % element_order(dst, y) == 0]
+                            )
+                            for _, a in pres.summands
+                        ]
+                        yield from_generator_values(pres, images, dst)
+
+    def test_outcomes_match_the_element_scan(self):
+        passed = refused = 0
+        for t in self.maps():
+            outcome = audit_outcome(_audit_relations, t)
+            assert outcome == audit_outcome(reference_audit, t), (
+                t.domain, t.codomain, t.degree
+            )
+            if t.degree == 1:
+                assert outcome is None
+            passed += outcome is None
+            refused += outcome is not None
+        assert passed > 200 and refused > 200
+
+    def test_value_lookups_bounded_by_the_cyclic_subgroups(self, monkeypatch):
+        g, h = Group((81,)), Group((27,))
+        t = from_generator_values(
+            graded_presentation(g, 1), [(0,), (9,), (3,), (1,), (1,)], h
+        )
+        calls = 0
+        real = FunctionTable.value_at
+
+        def counted(self, x):
+            nonlocal calls
+            calls += 1
+            return real(self, x)
+
+        monkeypatch.setattr(FunctionTable, "value_at", counted)
+        assert audit_outcome(_audit_relations, t) is None
+        assert calls <= sum(rec.subgroup_order for rec in cyclic_subgroups(g))
+
