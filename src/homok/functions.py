@@ -16,7 +16,6 @@ from .bracket import GradedPresentation, Target, graded_presentation
 from .groups import (
     Group,
     GroupElement,
-    InternalInvariantError,
     QZ_ZERO,
     RationalResidue,
     cyclic_subgroups,
@@ -193,16 +192,13 @@ def from_generator_values(
     return FunctionTable(group, d, tuple(out), codomain)
 
 
-def from_coordinates(
-    pres: GradedPresentation, coords, target, check: bool = False
-) -> FunctionTable:
+def from_coordinates(pres: GradedPresentation, coords, target) -> FunctionTable:
     """Scalar table from integer homomorphism coordinates.
 
     For nonzero degree, ``target`` is a modulus m >= 1 and coordinate i
     denotes the residue coords[i]/m; well-definedness demands
     ``coords[i] * modulus_i == 0 mod m``. For degree 0 pass ``Target.Z``
-    and plain integers. ``check=True`` reruns the full homogeneity audit
-    on the result (debug aid; the construction guarantees it).
+    and plain integers.
     """
     if len(coords) != len(pres.summands):
         raise ValueError(
@@ -229,15 +225,7 @@ def from_coordinates(
                     f"homomorphism into Z/{m}"
                 )
             values.append(RationalResidue.of(int(c), m))
-    table = from_generator_values(pres, values)
-    if check:
-        report = is_homogeneous(table)
-        if not report.homogeneous:
-            raise InternalInvariantError(
-                f"from_coordinates built a table that is not homogeneous: "
-                f"{report.detail}"
-            )
-    return table
+    return from_generator_values(pres, values)
 
 
 def to_coordinates(table: FunctionTable) -> tuple:

@@ -6,8 +6,10 @@ the ambient group is described by generator rows together with the implicit
 relation rows ``m_j * e_j``. Quotient and subgroup invariants come from one
 triangular fold and two eliminations over ``Z/p^n`` per prime
 (``lattice_invariants``), or, when the ambient exponent is prime, from one
-rank over that field; the generic Smith form serves the public
-``smith_normal_form``/``smith_diagonal`` and ``subgroup_basis``.
+rank over that field. The generic Smith form (``smith_normal_form``, one
+elimination that always carries its transforms) is off that path: it
+serves ``smith_diagonal``, ``invert_unimodular`` (V @ U) and
+``subgroup_basis``.
 """
 
 from __future__ import annotations
@@ -56,46 +58,25 @@ def determinant(mat: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _smith(mat: IntMatrix, want_transforms: bool):
-    s = [list(row) for row in mat]
-    nrows = len(s)
-    ncols = len(s[0]) if s else 0
-    u = identity_matrix(nrows) if want_transforms else None
-    v = identity_matrix(ncols) if want_transforms else None
+def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return unimodular ``(U, S, V)`` with ``U @ mat @ V == S`` diagonal,
+    diagonal entries nonnegative and each dividing the next.
 
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
+    The elimination runs on ``[[mat, I], [I, 0]]``: row operations on its
+    first r rows carry U along in the right block, and column operations on
+    its first c columns carry V along in the bottom block.
+    """
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    a = [list(row) + [int(i == k) for k in range(nrows)] for i, row in enumerate(mat)]
+    a += [[int(j == k) for k in range(ncols)] + [0] * nrows for j in range(ncols)]
 
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+    def add_row(dst, src, f):  # row_dst += f * row_src
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
 
-    def add_row(dst, src, f):
-        # row_dst += f * row_src
-        srow, drow = s[src], s[dst]
-        for j in range(ncols):
-            drow[j] += f * srow[j]
-        if u is not None:
-            srow, drow = u[src], u[dst]
-            for j in range(nrows):
-                drow[j] += f * srow[j]
-
-    def add_col(dst, src, f):
-        for row in s:
+    def add_col(dst, src, f):  # col_dst += f * col_src
+        for row in a:
             row[dst] += f * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += f * row[src]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     t = 0
     limit = min(nrows, ncols)
@@ -103,7 +84,7 @@ def _smith(mat: IntMatrix, want_transforms: bool):
         # Move the smallest nonzero entry (by absolute value) to the pivot.
         best = None
         for i in range(t, nrows):
-            row = s[i]
+            row = a[i]
             for j in range(t, ncols):
                 val = row[j]
                 if val and (best is None or abs(val) < best[0]):
@@ -115,87 +96,63 @@ def _smith(mat: IntMatrix, want_transforms: bool):
         if best is None:
             break
         _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
+        a[t], a[bi] = a[bi], a[t]
         if bj != t:
-            swap_cols(t, bj)
-        if s[t][t] < 0:
-            negate_row(t)
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
 
         clean = True
         for i in range(t + 1, nrows):
-            if s[i][t]:
-                add_row(i, t, -(s[i][t] // s[t][t]))
-                if s[i][t]:
+            if a[i][t]:
+                add_row(i, t, -(a[i][t] // a[t][t]))
+                if a[i][t]:
                     clean = False
         for j in range(t + 1, ncols):
-            if s[t][j]:
-                add_col(j, t, -(s[t][j] // s[t][t]))
-                if s[t][j]:
+            if a[t][j]:
+                add_col(j, t, -(a[t][j] // a[t][t]))
+                if a[t][j]:
                     clean = False
         if not clean:
             continue
 
         # Pivot divides its row and column; force divisibility of the rest.
-        offender = None
-        for i in range(t + 1, nrows):
-            row = s[i]
-            for j in range(t + 1, ncols):
-                if row[j] % s[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next(
+            (i for i in range(t + 1, nrows)
+             if any(x % a[t][t] for x in a[i][t + 1:ncols])),
+            None,
+        )
         if offender is not None:
             add_row(t, offender, 1)
             continue
         t += 1
 
-    return u, s, v
-
-
-def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular ``(U, S, V)`` with ``U @ mat @ V == S`` diagonal,
-    diagonal entries nonnegative and each dividing the next.
-    """
-    u, s, v = _smith(mat, want_transforms=True)
-    return u, s, v
+    return (
+        [row[ncols:] for row in a[:nrows]],
+        [row[:ncols] for row in a[:nrows]],
+        [row[:ncols] for row in a[nrows:]],
+    )
 
 
 def smith_diagonal(mat: IntMatrix) -> list[int]:
-    """Diagonal of the Smith form, without the transform bookkeeping."""
-    _, s, _ = _smith(mat, want_transforms=False)
+    """Diagonal of the Smith form."""
+    s = smith_normal_form(mat)[1]
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 
 def invert_unimodular(mat: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix with determinant +-1."""
-    # imported here: fractions loads decimal, which every start would pay for
-    from fractions import Fraction
-
+    """Inverse of an integer matrix with determinant +-1: if ``U @ mat @ V``
+    is the identity, the inverse is ``V @ U``."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = []
-    for row in a:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ints.append(int(x))
-        out.append(ints)
-    return out
+    if any(len(row) != n for row in mat):
+        raise ValueError("invert_unimodular needs a square matrix")
+    u, s, v = smith_normal_form(mat)
+    if s != identity_matrix(n):
+        raise ValueError(
+            "matrix is singular" if s[-1][-1] == 0 else "matrix is not unimodular"
+        )
+    return matmul(v, u)
 
 
 def _validate_ambient(rows: IntMatrix, moduli: list[int]) -> None:

@@ -333,7 +333,7 @@ class TestQuotientInvariants:
         def refuse(*args, **kwargs):
             raise AssertionError("sk1 reached the generic Smith form")
 
-        monkeypatch.setattr(snf, "_smith", refuse)
+        monkeypatch.setattr(snf, "smith_normal_form", refuse)
         sk1_invariants.cache_clear()
         try:
             for spec, chains in expected.items():

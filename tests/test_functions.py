@@ -1,8 +1,6 @@
 """Function tables: homogeneity checking and coordinate forms."""
 
 import random
-import subprocess
-import sys
 from math import gcd, lcm
 
 import pytest
@@ -102,6 +100,7 @@ class TestCoordinates:
         assert t.value_at((4,)) == Q(7, 9)  # 4^2 / 9
         assert t.value_at((3,)) == Q(0, 1)
         assert to_coordinates(t) == (Q(0, 1), Q(0, 1), Q(1, 9))
+        assert is_homogeneous(from_coordinates(pres, (0, 3, 4), 9))
 
     def test_ill_fitting_coordinate_rejected(self):
         pres = graded_presentation(Group((9,)), 2)
@@ -139,35 +138,6 @@ class TestCoordinates:
         pres = graded_presentation(Group((9,)), 1)
         with pytest.raises(ValueError, match="modulus"):
             from_coordinates(pres, (0, 0, 1), Target.QZ)
-
-    def test_check_flag_runs_the_audit(self):
-        pres = graded_presentation(Group((9,)), 2)
-        t = from_coordinates(pres, (0, 3, 4), 9, check=True)
-        assert is_homogeneous(t)
-
-    def test_failed_audit_raises_under_optimize(self):
-        # the audit reports failure; -O strips asserts, so the check must
-        # survive it
-        script = (
-            "import sys, homok.functions as fn\n"
-            "from homok.bracket import graded_presentation\n"
-            "from homok.groups import Group, InternalInvariantError\n"
-            "fn.is_homogeneous = lambda t: fn.HomogeneityReport(False, None, 'forced')\n"
-            "pres = graded_presentation(Group((9,)), 2)\n"
-            "try:\n"
-            "    fn.from_coordinates(pres, (0, 3, 4), 9, check=True)\n"
-            "except InternalInvariantError as exc:\n"
-            "    print(exc)\n"
-            "    sys.exit(3)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 3, proc.stderr
-        assert "not homogeneous: forced" in proc.stdout
-        assert "from_coordinates" in proc.stdout
 
     def test_to_coordinates_rejects_inhomogeneous(self):
         g = Group((9,))

@@ -106,12 +106,35 @@ def test_determinant_against_fraction_elimination(n):
         assert determinant(m) == fraction_det(m)
 
 
+def random_unimodular(rng, n):
+    """Identity under random elementary row operations and sign flips."""
+    m = identity_matrix(n)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            f = rng.randint(-5, 5)
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+        if rng.random() < 0.3:
+            m[i] = [-x for x in m[i]]
+    return m
+
+
 def test_invert_unimodular():
     m = [[2, 3], [1, 2]]  # det 1
     inv = invert_unimodular(m)
     assert matmul(m, inv) == identity_matrix(2)
-    with pytest.raises(ValueError):
+    rng = random.Random(0x1D)
+    for n in range(1, 7):
+        for _ in range(10):
+            m = random_unimodular(rng, n)
+            inv = invert_unimodular(m)
+            assert matmul(inv, m) == matmul(m, inv) == identity_matrix(n)
+    with pytest.raises(ValueError, match="singular"):
+        invert_unimodular([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="not unimodular"):
         invert_unimodular([[2, 0], [0, 2]])
+    with pytest.raises(ValueError, match="square"):
+        invert_unimodular([[1, 0, 0], [0, 1, 0]])
 
 
 def test_cokernel_worked_example():

@@ -2,8 +2,9 @@
 no module defines a private module-level function that nothing in the
 package refers to (a helper left behind, or one kept only for tests), and
 every public module-level function or class has a caller in the package
-or is exported. The suite's own warning filters fail a test that leaves a
-file open.
+or is exported. No module uses an ``assert`` statement, which ``python -O``
+strips. The suite's own warning filters fail a test that leaves a file
+open.
 
 Exempt: the re-exports of ``__init__``, import lines marked
 ``# noqa: F401``, and the public names in ``UNCALLED_PUBLIC``.
@@ -124,6 +125,17 @@ def test_every_public_name_has_a_caller():
         and not (m == "cli.py" and node.name.startswith("cmd_"))
     ]
     assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
+
+
+def test_no_assert_statements():
+    """Internal checks raise, so that ``python -O`` cannot strip them."""
+    asserts = [
+        f"{name}:{node.lineno}"
+        for name, (_, tree) in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_a_file_left_open_fails_its_test(tmp_path):
