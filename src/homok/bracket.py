@@ -26,6 +26,7 @@ from .groups import (
     cyclic_subgroup_census,
     cyclic_subgroups,
     generated_record_index,
+    generator_multiplier,
     invariant_factors_from_orders,
     sylow_decompose,
 )
@@ -96,7 +97,7 @@ def graded_presentation(group: Group, degree: int) -> GradedPresentation:
 def project_element(pres: GradedPresentation, g: GroupElement) -> tuple[int, int]:
     """Image of the bracket class of ``g``: the index of the summand for
     ``<g>`` and the coordinate ``n**d mod modulus``, where ``g = n*x`` for
-    the canonical generator ``x``.
+    the canonical generator ``x`` (n as the element scan records it).
 
     Any valid ``n`` gives the same coordinate: n is unique mod o(x), and
     the modulus divides ``n**d``'s period. Degree 0 has no finite
@@ -104,15 +105,9 @@ def project_element(pres: GradedPresentation, g: GroupElement) -> tuple[int, int
     """
     if pres.degree == 0:
         raise ValueError("project_element needs a nonzero degree")
-    group = pres.group
-    idx = generated_record_index(group, g)
-    rec, modulus = pres.summands[idx]
-    x = rec.canonical_generator
-    o = rec.subgroup_order
-    n = next(
-        m for m in range(1, o + 1) if gcd(m, o) == 1 and group.scale(m, x) == g
-    )
-    return idx, pow(n, pres.degree, modulus)
+    idx = generated_record_index(pres.group, g)
+    _, modulus = pres.summands[idx]
+    return idx, pow(generator_multiplier(pres.group, g), pres.degree, modulus)
 
 
 def hom_invariants(pres: GradedPresentation, target=Target.QZ) -> tuple[int, ...]:

@@ -577,13 +577,16 @@ def _parse_primes(text: str) -> list[int]:
     span = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if span:
         lo, hi = int(span.group(1)), int(span.group(2))
-        return [p for p in range(lo, hi + 1) if is_prime(p)]
-    primes = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token.isdigit() or not is_prime(int(token)):
-            raise GroupSpecError(f"{token!r} is not a prime")
-        primes.append(int(token))
+        primes = [p for p in range(lo, hi + 1) if is_prime(p)]
+    else:
+        primes = []
+        for token in text.split(","):
+            token = token.strip()
+            if not token.isdigit() or not is_prime(int(token)):
+                raise GroupSpecError(f"{token!r} is not a prime")
+            primes.append(int(token))
+    if not primes or len(set(primes)) < len(primes):
+        raise GroupSpecError(f"--primes {text!r} needs distinct primes, one or more")
     return primes
 
 

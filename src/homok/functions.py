@@ -20,6 +20,7 @@ from .groups import (
     RationalResidue,
     cyclic_subgroups,
     element_order,
+    subgroup_orbits,
 )
 
 
@@ -75,17 +76,14 @@ def _value_order(codomain: Group | None, degree: int, v) -> int:
     return v.order
 
 
-def _scale_power(codomain: Group | None, degree: int, n: int, e: int, v):
-    """``n^e * v`` with the exponent reduced modulo the value's order, so
-    negative exponents work whenever n is invertible there."""
+def _scale_power(codomain: Group | None, n: int, e: int, v, vo: int):
+    """``n^e * v`` for a value v of order vo, with the exponent reduced
+    modulo vo, so negative exponents work whenever n is invertible there."""
+    if vo == 1:
+        return v
     if codomain is not None:
-        o = element_order(codomain, v)
-        return codomain.scale(pow(n, e, o), v)
-    if degree == 0:
-        return v
-    if v.den == 1:
-        return v
-    return RationalResidue.of(pow(n, e, v.den) * v.num, v.den)
+        return codomain.scale(pow(n, e, vo), v)
+    return RationalResidue.of(pow(n, e, vo) * v.num, vo)
 
 
 @dataclass(frozen=True)
@@ -102,17 +100,12 @@ def generator_orbits(table: FunctionTable):
     """Per cyclic subgroup of the domain, visited in element-index order of
     the canonical generators: ``(x, o, orbit)`` with x the lex-least
     generator, o its order and ``orbit[n % o] = f(n*x)`` for every n in
-    1..o prime to o. Each element of the domain is looked up exactly once.
+    1..o prime to o, read through the element scan's generator orbits.
     """
-    g = table.domain
-    for rec in sorted(cyclic_subgroups(g), key=lambda r: r.canonical_generator):
-        x = rec.canonical_generator
-        o = rec.subgroup_order
-        yield x, o, {
-            n % o: table.value_at(g.scale(n, x))
-            for n in range(1, o + 1)
-            if gcd(n, o) == 1
-        }
+    records = cyclic_subgroups(table.domain)
+    for i, orbit in subgroup_orbits(table.domain):
+        x, o = records[i].canonical_generator, records[i].subgroup_order
+        yield x, o, {n % o: table.values[j] for n, j in orbit}
 
 
 def is_homogeneous(table: FunctionTable) -> HomogeneityReport:
@@ -137,15 +130,16 @@ def is_homogeneous(table: FunctionTable) -> HomogeneityReport:
     d = table.degree
     for x, o, orbit in generator_orbits(table):
         fx = orbit[1 % o]
-        span = lcm(o, *(_value_order(c, d, v) for v in orbit.values()))
+        orders = {r: _value_order(c, d, v) for r, v in orbit.items()}
+        span = lcm(o, *orders.values())
         for n in range(1, span + 1):
             if gcd(n, o) != 1:
                 continue
             fnx = orbit[n % o]
             if d >= 0:
-                ok = fnx == _scale_power(c, d, n, d, fx)
+                ok = fnx == _scale_power(c, n, d, fx, orders[1 % o])
             else:
-                ok = _scale_power(c, d, n, -d, fnx) == fx
+                ok = _scale_power(c, n, -d, fnx, orders[n % o]) == fx
             if not ok:
                 return HomogeneityReport(
                     False,
@@ -165,31 +159,27 @@ def from_generator_values(
     order must divide the summand modulus (else no homogeneous extension
     exists); for degree 0 values are integers, constant on each orbit.
     """
-    group = pres.group
     d = pres.degree
     summands = pres.summands
     if len(values) != len(summands):
         raise ValueError(
             f"expected {len(summands)} generator values, got {len(values)}"
         )
-    out: list = [None] * group.order
+    orders = []
     for (rec, modulus), v in zip(summands, values):
         _validate_value(codomain, d, v)
-        o = rec.subgroup_order
-        if d != 0:
-            vo = _value_order(codomain, d, v)
-            if modulus % vo:
-                raise ValueError(
-                    f"value {v} has order {vo}, not dividing the summand "
-                    f"modulus {modulus} at generator {rec.canonical_generator}"
-                )
-        x = rec.canonical_generator
-        for n in range(1, o + 1):
-            if gcd(n, o) == 1:
-                out[group.element_index(group.scale(n, x))] = _scale_power(
-                    codomain, d, n, d, v
-                )
-    return FunctionTable(group, d, tuple(out), codomain)
+        vo = _value_order(codomain, d, v)
+        if modulus % vo:
+            raise ValueError(
+                f"value {v} has order {vo}, not dividing the summand "
+                f"modulus {modulus} at generator {rec.canonical_generator}"
+            )
+        orders.append(vo)
+    out: list = [None] * pres.group.order
+    for i, orbit in subgroup_orbits(pres.group):
+        for n, j in orbit:
+            out[j] = _scale_power(codomain, n, d, values[i], orders[i])
+    return FunctionTable(pres.group, d, tuple(out), codomain)
 
 
 def from_coordinates(pres: GradedPresentation, coords, target) -> FunctionTable:

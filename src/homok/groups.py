@@ -10,7 +10,8 @@ The cyclic-subgroup scan is kept for the paths that name elements: group
 listings, the cocyclic lattice columns, ``generated_record_index``,
 function tables and transfers. Every element generates exactly one cyclic
 subgroup, and the scan claims each element exactly once, so its cost is
-the sum of the subgroup orders rather than ``|G|^2``.
+the sum of the subgroup orders rather than ``|G|^2``. Only the scan maps a
+multiplier n to the element n*x; the rest read it off the scan.
 """
 
 from __future__ import annotations
@@ -228,30 +229,34 @@ class CyclicSubgroupRecord:
 
 @lru_cache(maxsize=None)
 def _subgroup_scan(group: Group):
+    """``(records, record_of, multiplier, orbits)``: element j generates
+    record ``record_of[j]`` and is ``multiplier[j]`` times its canonical
+    generator x; ``orbits`` lists each record's generator indices in
+    ascending n, the records in element-index order of x."""
     raw = []
-    claimed = [False] * group.order
+    multiplier = [0] * group.order  # 0 until the element is claimed
     for idx in range(group.order):
-        if claimed[idx]:
+        if multiplier[idx]:
             continue
         gen = group.element_at(idx)
         o = element_order(group, gen)
-        generator_indices = [
-            group.element_index(group.scale(m, gen))
-            for m in range(1, o + 1)
-            if gcd(m, o) == 1
-        ]
-        for j in generator_indices:
-            claimed[j] = True
-        raw.append((o, gen, generator_indices))
+        orbit = []
+        for n in range(1, o + 1):
+            if gcd(n, o) == 1:
+                j = group.element_index(group.scale(n, gen))
+                multiplier[j] = n
+                orbit.append(j)
+        raw.append((o, gen, orbit))
 
+    orbits = tuple(j for _, _, orbit in raw for j in orbit)
     raw.sort(key=lambda item: (item[0], item[1]))
     records = []
-    generated_by = [0] * group.order
-    for pos, (o, gen, generator_indices) in enumerate(raw):
+    record_of = [0] * group.order
+    for pos, (o, gen, orbit) in enumerate(raw):
         records.append(CyclicSubgroupRecord(gen, o))
-        for j in generator_indices:
-            generated_by[j] = pos
-    return tuple(records), tuple(generated_by)
+        for j in orbit:
+            record_of[j] = pos
+    return tuple(records), tuple(record_of), tuple(multiplier), orbits
 
 
 def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroupRecord, ...]:
@@ -262,6 +267,20 @@ def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroupRecord, ...]:
 def generated_record_index(group: Group, g: GroupElement) -> int:
     """Index into ``cyclic_subgroups(group)`` of the subgroup ``<g>``."""
     return _subgroup_scan(group)[1][group.element_index(g)]
+
+
+def generator_multiplier(group: Group, g: GroupElement) -> int:
+    """The n in 1..o(g), prime to o(g), with ``g = n*x`` for the canonical
+    generator x of ``<g>``."""
+    return _subgroup_scan(group)[2][group.element_index(g)]
+
+
+def subgroup_orbits(group: Group):
+    """Per cyclic subgroup, in element-index order of its canonical
+    generator x: its record index and the pairs ``(n, index of n*x)``."""
+    _, record_of, multiplier, orbits = _subgroup_scan(group)
+    for i, orbit in itertools.groupby(orbits, record_of.__getitem__):
+        yield i, [(multiplier[j], j) for j in orbit]
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,11 @@ degrees, -1 included, a per-instance audit checks every defining relation
 over its finite period, once per cyclic subgroup of the source, and
 refuses the construction when one breaks (such t exist: squaring on Z/5 at
 degree 2, x -> 1/x mod 5 on Z/5 at degree -1).
+
+Neither side computes a multiple n*x: the audit walks the source's
+generator orbits as the element scan lists them, and ``project_element``
+reads a value's summand and multiplier off the target's scan, so each
+value is projected in O(1) where it is used.
 """
 
 from __future__ import annotations
@@ -77,18 +82,12 @@ def induced_graded_map(table: FunctionTable) -> InducedGradedMap:
     source = graded_presentation(table.domain, d)
     target = graded_presentation(table.codomain, d)
 
-    codomain = table.codomain
-    value_proj = {
-        codomain.element_index(w): project_element(target, w)
-        for w in set(table.values)
-    }
-
     images = tuple(
-        value_proj[codomain.element_index(table.value_at(rec.canonical_generator))]
+        project_element(target, table.value_at(rec.canonical_generator))
         for rec, _ in source.summands
     )
 
-    _audit_relations(table, target, d, value_proj)
+    _audit_relations(table, target, d)
 
     # Structure: every hit target summand is fully hit (unit coordinate),
     # and the source summand order kills the image coordinate.
@@ -117,9 +116,7 @@ def induced_graded_map(table: FunctionTable) -> InducedGradedMap:
     return InducedGradedMap(source, target, images, tuple(sections), kernel_size)
 
 
-def _audit_relations(
-    table: FunctionTable, target: GradedPresentation, d: int, value_proj: dict
-) -> None:
+def _audit_relations(table: FunctionTable, target: GradedPresentation, d: int) -> None:
     """Check that every defining relation [n*g] - n^d*[g] of the source
     bracket maps to a relation of the target bracket, and raise at the
     first one that does not.
@@ -129,9 +126,7 @@ def _audit_relations(
     integers n. Degree 1 always passes; other degrees genuinely can fail,
     -1 included: [t(n*g)] = [n^d*t(g)] = n^(d*d)*[t(g)], so the relation
     needs n^(d*(d-1)) = 1 on the coordinate (squaring on Z/5 fails at
-    degree 2, x -> 1/x mod 5 on Z/5 at degree -1). ``value_proj`` carries
-    the projection of every value of the table, keyed by codomain element
-    index.
+    degree 2, x -> 1/x mod 5 on Z/5 at degree -1).
 
     The relations hold at g exactly when they hold at every generator of
     <g> (the argument of ``is_homogeneous``, applied to the projected map
@@ -139,11 +134,8 @@ def _audit_relations(
     element-index order, and the first failure is the one an
     element-by-element scan would report.
     """
-    codomain = table.codomain
     for g, o, orbit in generator_orbits(table):
-        proj = {
-            r: value_proj[codomain.element_index(v)] for r, v in orbit.items()
-        }
+        proj = {r: project_element(target, v) for r, v in orbit.items()}
         j0, c0 = proj[1 % o]
         m0 = target.moduli[j0]
         span = lcm(o, m0)

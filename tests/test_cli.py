@@ -891,3 +891,22 @@ class TestTable:
         assert _parse_primes("3..31") == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
         with pytest.raises(Exception, match="not a prime"):
             _parse_primes("3,4")
+
+    @pytest.mark.parametrize(
+        "primes, reason",
+        [
+            ("10..2", "'10..2' needs distinct primes, one or more"),
+            ("8..10", "'8..10' needs distinct primes, one or more"),
+            ("3,3", "'3,3' needs distinct primes, one or more"),
+            ("5, 3,5", "'5, 3,5' needs distinct primes, one or more"),
+        ],
+    )
+    def test_empty_or_repeated_primes_exit_2(self, primes, reason, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code, stdout, err = run_cli(
+            ["table", "--family", "p", "--primes", primes, "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --primes {reason}\n"
+        assert not out.exists()

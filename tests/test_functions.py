@@ -233,9 +233,9 @@ def reference_is_homogeneous(table: FunctionTable) -> HomogeneityReport:
                 continue
             fnx = table.value_at(g.scale(n, x))
             if d >= 0:
-                ok = fnx == _scale_power(c, d, n, d, fx)
+                ok = fnx == _scale_power(c, n, d, fx, _value_order(c, d, fx))
             else:
-                ok = _scale_power(c, d, n, -d, fnx) == fx
+                ok = _scale_power(c, n, -d, fnx, _value_order(c, d, fnx)) == fx
             if not ok:
                 return HomogeneityReport(
                     False,
@@ -261,7 +261,8 @@ def orbit_extended_table(group, degree, codomain, pick) -> FunctionTable:
             if gcd(n, o) != 1:
                 continue
             try:
-                v = _scale_power(codomain, degree, n, degree, y)
+                vo = _value_order(codomain, degree, y)
+                v = _scale_power(codomain, n, degree, y, vo)
             except ValueError:
                 v = y
             values[group.element_index(group.scale(n, x))] = v
@@ -338,18 +339,30 @@ class TestOrbitReduction:
         assert 0.25 * seen < failing < 0.9 * seen
 
     def test_value_lookups_bounded_by_the_cyclic_subgroups(self, monkeypatch):
+        """With the scan warm, ``is_homogeneous`` reads each value through
+        the generator orbits and scales it at most once per multiplier n:
+        no more group operations than the subgroups have elements, where
+        the per-element scan needs far more."""
         g, h = Group((81,)), Group((27,))
         t = from_generator_values(
             graded_presentation(g, 1), [(0,), (9,), (3,), (1,), (1,)], h
         )
-        calls = 0
-        real = FunctionTable.value_at
-
-        def counted(self, x):
-            nonlocal calls
-            calls += 1
-            return real(self, x)
-
-        monkeypatch.setattr(FunctionTable, "value_at", counted)
         assert is_homogeneous(t)
-        assert calls <= sum(rec.subgroup_order for rec in cyclic_subgroups(g))
+        calls = 0
+
+        def counted(real):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Group, "scale", counted(Group.scale))
+        monkeypatch.setattr(Group, "element_index", counted(Group.element_index))
+        assert is_homogeneous(t)
+        bound = sum(rec.subgroup_order for rec in cyclic_subgroups(g))
+        assert calls <= bound
+        calls = 0
+        assert reference_is_homogeneous(t)
+        assert calls > bound

@@ -8,6 +8,7 @@ from math import gcd, prod
 import pytest
 
 import homok.groups
+from homok.bracket import graded_presentation, project_element
 from homok.groups import (
     CapExceededError,
     Group,
@@ -20,8 +21,10 @@ from homok.groups import (
     cyclic_subgroups,
     element_order,
     generated_record_index,
+    generator_multiplier,
     invariant_factors_from_orders,
     parse_group_spec,
+    subgroup_orbits,
     sylow_decompose,
 )
 from homok.snf import cokernel_invariants
@@ -168,6 +171,47 @@ def test_generated_record_index(spec):
             members.add(g.element_index(h))
             h = g.add(h, el)
         assert members == set(record_members(g, rec))
+
+
+def brute_position(group, records, el):
+    """The (record index, n) with el = n*x, x the record's canonical
+    generator and n in 1..o prime to o, by searching every record."""
+    for i, rec in enumerate(records):
+        x, o = rec.canonical_generator, rec.subgroup_order
+        for n in range(1, o + 1):
+            if gcd(n, o) == 1 and group.scale(n, x) == el:
+                return i, n
+    raise AssertionError(f"{el} generates no recorded subgroup")
+
+
+def test_scan_names_every_element_as_a_generator_multiple():
+    """On every group of order <= 64, and a few non-canonical
+    presentations: each element g is n*x for the canonical generator x of
+    its record and the recorded n, prime to o; each orbit lists the phi(o)
+    generators in ascending n, the orbits come in element-index order of x
+    and cover every element exactly once; ``project_element`` gives the
+    coordinate of the n found by search."""
+    groups = all_abelian_groups(64)
+    groups += [Group((6, 10)), Group((4, 2, 3)), Group((1, 9, 3))]
+    for g in groups:
+        records = cyclic_subgroups(g)
+        pres = [graded_presentation(g, d) for d in (1, 2, -1)]
+        for el in g.elements():
+            i, n = brute_position(g, records, el)
+            assert generated_record_index(g, el) == i
+            assert generator_multiplier(g, el) == n
+            for p in pres:
+                assert project_element(p, el) == (i, pow(n, p.degree, p.moduli[i]))
+        visited, covered = [], []
+        for i, orbit in subgroup_orbits(g):
+            x, o = records[i].canonical_generator, records[i].subgroup_order
+            units = [n for n in range(1, o + 1) if gcd(n, o) == 1]
+            assert [n for n, _ in orbit] == units
+            assert [g.element_at(j) for _, j in orbit] == [g.scale(n, x) for n in units]
+            visited.append(x)
+            covered += [j for _, j in orbit]
+        assert visited == sorted(rec.canonical_generator for rec in records), g
+        assert sorted(covered) == list(range(g.order)), g
 
 
 def test_cyclic_subgroup_counts():

@@ -5,9 +5,9 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from homok.bracket import graded_presentation, project_element
+from homok.bracket import graded_presentation
 from homok.functions import FunctionTable, from_generator_values
-from homok.groups import Group, RationalResidue, cyclic_subgroups, element_order
+from homok.groups import Group, RationalResidue, element_order
 from homok.transfer import (
     InducedGradedMap,
     InducedMapUndefined,
@@ -296,19 +296,32 @@ def test_literal_summation_respects_the_limit():
         preimage_sum(m, f, 0, limit=100)
 
 
-def reference_audit(table, target, d, value_proj):
+def brute_projection(pres, w):
+    """``project_element`` by search: the summand whose canonical generator
+    x has w = n*x for some n prime to o, and the coordinate n^d."""
+    group = pres.group
+    for idx, (rec, modulus) in enumerate(pres.summands):
+        x, o = rec.canonical_generator, rec.subgroup_order
+        for n in range(1, o + 1):
+            if gcd(n, o) == 1 and group.scale(n, x) == w:
+                return idx, pow(n, pres.degree, modulus)
+    raise AssertionError(f"{w} lies in no cyclic subgroup")
+
+
+def reference_audit(table, target, d):
     """Every relation [n*g] = n^d*[g] checked at every element g of the
-    source, in index order: the element-by-element scan that
-    ``_audit_relations`` must agree with."""
-    dom, codomain = table.domain, table.codomain
+    source, in index order, with values projected by search: the
+    element-by-element scan that ``_audit_relations`` must agree with."""
+    dom = table.domain
+    proj = {w: brute_projection(target, w) for w in set(table.values)}
     for g in dom.elements():
         o = element_order(dom, g)
-        j0, c0 = value_proj[codomain.element_index(table.value_at(g))]
+        j0, c0 = proj[table.value_at(g)]
         m0 = target.moduli[j0]
         for n in range(1, lcm(o, m0) + 1):
             if gcd(n, o) != 1:
                 continue
-            j1, c1 = value_proj[codomain.element_index(table.value_at(dom.scale(n, g)))]
+            j1, c1 = proj[table.value_at(dom.scale(n, g))]
             m1 = target.moduli[j1]
             rhs = (pow(n, d, m0) * c0) % m0
             ok = c1 == rhs if j0 == j1 else c1 % m1 == 0 and rhs == 0
@@ -323,12 +336,8 @@ def reference_audit(table, target, d, value_proj):
 def audit_outcome(audit, table):
     """None when ``audit`` passes ``table``, else its refusal text."""
     target = graded_presentation(table.codomain, table.degree)
-    value_proj = {
-        table.codomain.element_index(w): project_element(target, w)
-        for w in set(table.values)
-    }
     try:
-        audit(table, target, table.degree, value_proj)
+        audit(table, target, table.degree)
     except InducedMapUndefined as exc:
         return str(exc)
     return None
@@ -372,19 +381,30 @@ class TestAuditOrbitReduction:
         assert passed > 200 and refused > 200
 
     def test_value_lookups_bounded_by_the_cyclic_subgroups(self, monkeypatch):
+        """With the scans warm, the audit computes no n*x and projects each
+        value on a generator orbit once, with two element-index lookups
+        (summand and multiplier): 2*|G| in all, as the generator orbits of
+        the cyclic subgroups partition G. The per-element scan needs far
+        more."""
         g, h = Group((81,)), Group((27,))
         t = from_generator_values(
             graded_presentation(g, 1), [(0,), (9,), (3,), (1,), (1,)], h
         )
-        calls = 0
-        real = FunctionTable.value_at
-
-        def counted(self, x):
-            nonlocal calls
-            calls += 1
-            return real(self, x)
-
-        monkeypatch.setattr(FunctionTable, "value_at", counted)
         assert audit_outcome(_audit_relations, t) is None
-        assert calls <= sum(rec.subgroup_order for rec in cyclic_subgroups(g))
+        calls = 0
 
+        def counted(real):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Group, "scale", counted(Group.scale))
+        monkeypatch.setattr(Group, "element_index", counted(Group.element_index))
+        assert audit_outcome(_audit_relations, t) is None
+        assert calls <= 2 * g.order
+        calls = 0
+        assert audit_outcome(reference_audit, t) is None
+        assert calls > 2 * g.order
