@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from .arith import is_prime
@@ -76,6 +76,11 @@ def _coc_basis_rows(group: Group) -> IntMatrix:
     generator x of order c) lies in K, that is chi(x) = 0, the entry is
     ``x_i * c / n_i`` mod c; elsewhere it is 0.
 
+    For each kernel K = ker chi_y, the row of the first factor i with y_i a
+    unit mod n_i is left out: with u * y_i = 1 (mod n_i), the character
+    ``u * chi_y = e_i + sum_{j != i} u * y_j * e_j`` vanishes on K, so e_i
+    restricted to K is a combination of K's other rows.
+
     Kernels and columns are indexed by the same generators, and the test
     "<x> lies in ker chi_y", ``sum_i y_i x_i e / n_i = 0 (mod e)``, is
     symmetric in x and y: each pair is tested once, and a row is filled
@@ -106,7 +111,14 @@ def _coc_basis_rows(group: Group) -> IntMatrix:
         j = column_of[k.character]
         mask = inside[j * q : (j + 1) * q]
         columns = list(compress(range(q), mask))
-        for values in entries:
+        fixed = next(
+            (i for i, (y, n) in enumerate(zip(k.character, factors))
+             if gcd(y, n) == 1),
+            None,
+        )
+        for i, values in enumerate(entries):
+            if i == fixed:
+                continue
             row = [0] * q
             for l, v in zip(columns, compress(values, mask)):
                 row[l] = v
@@ -121,7 +133,7 @@ def _monomial_rows(group: Group) -> IntMatrix:
     Over F_p the indicator of ker chi is ``1 - chi^(p-1)`` and ``x^p = x``,
     so each row ``psi * 1_K`` of ``_coc_basis_rows`` is
     ``psi - psi * chi^(p-1)``, a degree-p form: the C(p+k-1, p) monomials
-    span the same F_p space as its q*k rows. Each degree is built from the
+    span the same F_p space as its rows. Each degree is built from the
     one below by multiplying with one coordinate, in nondecreasing index
     order, so every monomial appears once.
     """

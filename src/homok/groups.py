@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import ge
+from operator import floordiv, ge
 
 from .arith import factorize, vp
 
@@ -232,20 +232,33 @@ def _subgroup_scan(group: Group):
     """``(records, record_of, multiplier, orbits)``: element j generates
     record ``record_of[j]`` and is ``multiplier[j]`` times its canonical
     generator x; ``orbits`` lists each record's generator indices in
-    ascending n, the records in element-index order of x."""
+    ascending n, the records in element-index order of x.
+
+    The first unclaimed element x in index order is its subgroup's
+    canonical generator. The index of n*x is ``sum_i (n*x_i mod n_i) *
+    stride_i`` over the nonzero coordinates of x, so no element is built,
+    validated or looked up; the units of each order o are listed once."""
+    factors = group.factor_orders
+    strides = [prod(factors[i + 1 :]) for i in range(len(factors))]
+    units_of: dict[int, list[int]] = {}  # the units of o other than 1
     raw = []
     multiplier = [0] * group.order  # 0 until the element is claimed
-    for idx in range(group.order):
+    for idx, gen in enumerate(group.elements()):
         if multiplier[idx]:
             continue
-        gen = group.element_at(idx)
-        o = element_order(group, gen)
-        orbit = []
-        for n in range(1, o + 1):
-            if gcd(n, o) == 1:
-                j = group.element_index(group.scale(n, gen))
-                multiplier[j] = n
-                orbit.append(j)
+        o = lcm(*map(floordiv, factors, map(gcd, factors, gen)))
+        units = units_of.get(o)
+        if units is None:
+            units = units_of[o] = [n for n in range(2, o) if gcd(n, o) == 1]
+        multiplier[idx] = 1
+        images = [0] * len(units)
+        if units:  # else o <= 2, and x is its subgroup's only generator
+            for x, n, s in zip(gen, factors, strides):
+                if x:
+                    images = [j + m * x % n * s for j, m in zip(images, units)]
+            for m, j in zip(units, images):
+                multiplier[j] = m
+        orbit = [idx] + images
         raw.append((o, gen, orbit))
 
     orbits = tuple(j for _, _, orbit in raw for j in orbit)

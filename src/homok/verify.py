@@ -288,6 +288,52 @@ def ados_odd():
         yield got == (p,) * (p - 1), f"G = ({p * p})^2: quotient {got}"
 
 
+def _presentations(rng, group: Group):
+    """Three seeded presentations of ``group``: its factors split into
+    prime powers, some merged back into a coprime factor, and shuffled."""
+    parts = [p**k for n in group.factor_orders for p, k in factorize(n).items()]
+    for _ in range(3):
+        rng.shuffle(parts)
+        merged: list[int] = []
+        for pk in parts:
+            i = next((i for i, m in enumerate(merged) if gcd(m, pk) == 1), None)
+            if i is not None and rng.random() < 0.5:
+                merged[i] *= pk
+            else:
+                merged.append(pk)
+        rng.shuffle(merged)
+        yield Group(merged)
+
+
+def presentation_invariance(seed: int = 2207):
+    """SK1 reports read off the presented factors (columns, rows and their
+    order), but their three chains depend on the group alone: every
+    presentation from ``_presentations`` that differs from the canonical
+    one, for |G| <= 200, and (27,9,3,9), (27,9,9) against (3,9,9,27),
+    (9,9,27), must give the canonical presentation's hmg, coc and sk1."""
+    rng = random.Random(seed)
+    pairs = [
+        (group, other)
+        for group in all_abelian_groups(200)
+        for other in _presentations(rng, group)
+        if other != group
+    ]
+    pairs += [
+        (Group((3, 9, 9, 27)), Group((27, 9, 3, 9))),
+        (Group((9, 9, 27)), Group((27, 9, 9))),
+    ]
+    for group, other in pairs:
+        want, got = [
+            (r.hmg_invariants, r.coc_invariants, r.quotient_invariants)
+            for r in (sk1_invariants(group), sk1_invariants(other))
+        ]
+        same_group = other.invariant_factors == group.invariant_factors
+        yield same_group and got == want, (
+            f"G = {group.spec} presented as {other.spec}: (hmg, coc, sk1) "
+            f"{got}, canonical {want}"
+        )
+
+
 def _random_degree_one_map(rng, src: Group, dst: Group) -> FunctionTable:
     pres = graded_presentation(src, 1)
     elems = list(dst.elements())
@@ -419,6 +465,7 @@ SUITES = {
     "prop32": transfer_laws,
     "ados": ados_formula,
     "ados-odd": ados_odd,
+    "presentations": presentation_invariance,
 }
 
 

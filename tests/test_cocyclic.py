@@ -2,7 +2,7 @@
 
 import itertools
 from dataclasses import replace
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -168,13 +168,47 @@ class TestCocyclicVector:
         assert (0, 1, 0) in full_lattice_rows(g)
 
 
+def fixed_factor(group: Group, k):
+    """The factor whose row ``_coc_basis_rows`` leaves out for kernel k:
+    the first i with the character's coefficient a unit mod n_i, or None."""
+    return next(
+        (i for i, (y, n) in enumerate(zip(k.character, group.factor_orders))
+         if gcd(y, n) == 1),
+        None,
+    )
+
+
+def coordinate_rows(group: Group, members_of, drop: bool):
+    """Per kernel and factor i, the i-th coordinate character restricted to
+    the kernel, at every column; ``members_of(k)`` decides which column
+    generators lie in k. With ``drop``, each kernel's fixed factor is
+    skipped."""
+    columns = cyclic_subgroups(group)
+    rows = []
+    for k in cocyclic_subgroups(group):
+        members = members_of(k)
+        inside = [rec.canonical_generator in members for rec in columns]
+        skip = fixed_factor(group, k) if drop else None
+        for i, n in enumerate(group.factor_orders):
+            if i == skip:
+                continue
+            rows.append([
+                (rec.canonical_generator[i] * rec.subgroup_order // n)
+                % rec.subgroup_order if hit else 0
+                for rec, hit in zip(columns, inside)
+            ])
+    return rows
+
+
 class TestGeneratorMatrix:
     def test_shape_and_spot_rows(self):
         g = Group((9,))
         rows = _coc_basis_rows(g)
-        assert len(rows) == 3  # one row per (kernel, factor)
+        # one row per (kernel, factor), less the row of a unit coefficient:
+        # the trivial kernel (character 1) keeps none
+        assert len(rows) == 2
         assert all(len(r) == 3 for r in rows)
-        assert rows == [[0, 0, 0], [0, 1, 0], [0, 1, 1]]  # smallest kernel first
+        assert rows == [[0, 1, 0], [0, 1, 1]]  # smallest kernel first
 
     def test_rows_are_cocyclic_vectors(self):
         # the rows are extended characters (so their span lies inside the
@@ -185,7 +219,10 @@ class TestGeneratorMatrix:
             moduli = [rec.subgroup_order for rec in cyclic_subgroups(g)]
             full = full_lattice_rows(g)
             rows = _coc_basis_rows(g)
-            assert len(rows) == len(cocyclic_subgroups(g)) * g.rank
+            assert len(rows) == sum(
+                g.rank - (fixed_factor(g, k) is not None)
+                for k in cocyclic_subgroups(g)
+            )
             assert {tuple(r) for r in rows} <= full
             assert full <= span_in_ambient(rows, moduli)
 
@@ -194,19 +231,35 @@ class TestGeneratorMatrix:
         # its generator is among the kernel's members, found by evaluating
         # the character on every element
         for g in all_abelian_groups(200):
-            columns = cyclic_subgroups(g)
-            want = []
-            for k in cocyclic_subgroups(g):
-                members = set(kernel_members(g, k))
-                inside = [g.element_index(rec.canonical_generator) in members
-                          for rec in columns]
-                for i, n in enumerate(g.factor_orders):
-                    want.append([
-                        (rec.canonical_generator[i] * rec.subgroup_order // n)
-                        % rec.subgroup_order if hit else 0
-                        for rec, hit in zip(columns, inside)
-                    ])
-            assert _coc_basis_rows(g) == want, g.spec
+            elements = list(g.elements())
+
+            def members_of(k):
+                return {elements[idx] for idx in kernel_members(g, k)}
+
+            assert _coc_basis_rows(g) == coordinate_rows(g, members_of, True), g.spec
+
+    def test_dropped_rows_leave_the_lattice_unchanged(self):
+        # oracle for the drop rule: the full row set (every factor for every
+        # kernel) and the reduced one give the same pair of chains
+        changed = 0
+        for g in all_abelian_groups(200):
+            moduli = [rec.subgroup_order for rec in cyclic_subgroups(g)]
+            gens = [rec.canonical_generator for rec in cyclic_subgroups(g)]
+
+            def members_of(k):
+                return {x for x in gens if pairing(g, k.character, x) == 0}
+
+            full = coordinate_rows(g, members_of, False)
+            rows = _coc_basis_rows(g)
+            if len(rows) == len(full):
+                continue
+            changed += 1
+            assert snf.lattice_invariants(rows, moduli) == snf.lattice_invariants(
+                full, moduli
+            ), g.spec
+        # every group has a character with a unit coefficient (the trivial
+        # group's only row, of its factor 1, is dropped too)
+        assert changed == 389
 
 
 def gf_rank(rows, p):

@@ -214,6 +214,23 @@ def test_scan_names_every_element_as_a_generator_multiple():
         assert sorted(covered) == list(range(g.order)), g
 
 
+def test_scan_builds_no_element(monkeypatch):
+    """The scan finds each n*x by index arithmetic: with the element
+    helpers refusing, it still runs, and matches the census."""
+
+    def refuse(*args):
+        raise AssertionError("the scan called an element helper")
+
+    homok.groups._subgroup_scan.cache_clear()
+    for name in ("element_index", "validate_element", "scale", "element_at"):
+        monkeypatch.setattr(Group, name, refuse)
+    for g in (Group((3, 9, 5)), Group((2,) * 10), Group((6, 10))):
+        records, record_of, multiplier, orbits = homok.groups._subgroup_scan(g)
+        assert len(record_of) == len(multiplier) == len(orbits) == g.order
+        scanned = Counter(rec.subgroup_order for rec in records)
+        assert tuple(sorted(scanned.items())) == cyclic_subgroup_census(g)
+
+
 def test_cyclic_subgroup_counts():
     assert cyclic_subgroup_count(Group((2, 2))) == 4
     assert cyclic_subgroup_count(Group((1,))) == 1

@@ -17,6 +17,7 @@ def test_registry_names():
         "prop32",
         "ados",
         "ados-odd",
+        "presentations",
     )
 
 
