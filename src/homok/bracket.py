@@ -25,8 +25,7 @@ from .groups import (
     InternalInvariantError,
     cyclic_subgroup_census,
     cyclic_subgroups,
-    generated_record_index,
-    generator_multiplier,
+    element_scan,
     invariant_factors_from_orders,
     sylow_decompose,
 )
@@ -101,13 +100,21 @@ def project_element(pres: GradedPresentation, g: GroupElement) -> tuple[int, int
 
     Any valid ``n`` gives the same coordinate: n is unique mod o(x), and
     the modulus divides ``n**d``'s period. Degree 0 has no finite
-    coordinate and is rejected.
+    coordinate and is rejected. ``g`` is checked here; code that holds its
+    index calls ``project_index``.
     """
     if pres.degree == 0:
         raise ValueError("project_element needs a nonzero degree")
-    idx = generated_record_index(pres.group, g)
+    return project_index(pres, pres.group.element_index(g))
+
+
+def project_index(pres: GradedPresentation, j: int) -> tuple[int, int]:
+    """``project_element`` of the element with index j, read off the
+    element scan; nonzero degree only, and j is not checked."""
+    record_of, multiplier = element_scan(pres.group)
+    idx = record_of[j]
     _, modulus = pres.summands[idx]
-    return idx, pow(generator_multiplier(pres.group, g), pres.degree, modulus)
+    return idx, pow(multiplier[j], pres.degree, modulus)
 
 
 def hom_invariants(pres: GradedPresentation, target=Target.QZ) -> tuple[int, ...]:

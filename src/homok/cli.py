@@ -36,6 +36,7 @@ from .groups import (
     InternalInvariantError,
     RationalResidue,
     cyclic_subgroup_census,
+    cyclic_subgroup_count,
     cyclic_subgroups,
     invariant_factors_from_orders,
     parse_group_spec,
@@ -445,6 +446,14 @@ def cmd_transfer(args) -> int:
             file=sys.stderr,
         )
         return 2
+    summands = cyclic_subgroup_count(source)
+    if f_coords is not None and len(f_coords) != summands:
+        print(
+            f"error: f_coords needs {summands} entries, one per source "
+            f"summand, got {len(f_coords)}",
+            file=sys.stderr,
+        )
+        return 2
 
     table = FunctionTable(source, degree, values, target)
     mapping = induced_graded_map(table)
@@ -466,17 +475,9 @@ def cmd_transfer(args) -> int:
         f"kernel size: {mapping.kernel_size}",
     ]
     if f_coords is not None:
-        moduli = mapping.source.moduli
-        if len(f_coords) != len(moduli):
-            print(
-                f"error: f_coords needs {len(moduli)} entries, one per "
-                f"source summand, got {len(f_coords)}",
-                file=sys.stderr,
-            )
-            return 2
         f = tuple(
             RationalResidue.of(c, m) if m > 1 else RationalResidue(0, 1)
-            for c, m in zip(f_coords, moduli)
+            for c, m in zip(f_coords, mapping.source.moduli)
         )
         out = transfer_apply(mapping, f)
         document["transfer"] = [str(v) for v in out]

@@ -9,7 +9,7 @@ table describes a map used to induce transfers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .bracket import GradedPresentation, Target, graded_presentation
@@ -20,6 +20,7 @@ from .groups import (
     RationalResidue,
     cyclic_subgroups,
     element_order,
+    element_scan,
     subgroup_orbits,
 )
 
@@ -30,13 +31,15 @@ class FunctionTable:
 
     ``codomain=None`` means scalar values: rational residues for nonzero
     degree, plain integers for degree zero. Otherwise values are elements
-    of the codomain group.
+    of the codomain group, checked once here, where the check also gives
+    ``value_indices``: their indices in the codomain.
     """
 
     domain: Group
     degree: int
     values: tuple
     codomain: Group | None = None
+    value_indices: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.values) != self.domain.order:
@@ -44,8 +47,12 @@ class FunctionTable:
                 f"table has {len(self.values)} values for a group of order "
                 f"{self.domain.order}"
             )
-        for v in self.values:
-            _validate_value(self.codomain, self.degree, v)
+        if self.codomain is None:
+            for v in self.values:
+                _checked_order(None, self.degree, v)
+        else:
+            indices = tuple(map(self.codomain.element_index, self.values))
+            object.__setattr__(self, "value_indices", indices)
         if self.degree != 0:
             zero = self.codomain.zero if self.codomain else QZ_ZERO
             if self.values[0] != zero:
@@ -54,26 +61,28 @@ class FunctionTable:
                     "(forced by f(0) = n^d f(0))"
                 )
 
-    def value_at(self, g: GroupElement):
-        return self.values[self.domain.element_index(g)]
 
-
-def _validate_value(codomain: Group | None, degree: int, v) -> None:
-    if codomain is not None:
-        codomain.validate_element(v)
-    elif degree == 0:
-        if not isinstance(v, int):
-            raise ValueError(f"degree-0 scalar values must be integers, got {v!r}")
-    elif not isinstance(v, RationalResidue):
-        raise ValueError(f"scalar values must be rational residues, got {v!r}")
-
-
-def _value_order(codomain: Group | None, degree: int, v) -> int:
+def _checked_order(codomain: Group | None, degree: int, v) -> int:
+    """The order of a value that enters from outside, checked first."""
     if codomain is not None:
         return element_order(codomain, v)
     if degree == 0:
+        if not isinstance(v, int):
+            raise ValueError(f"degree-0 scalar values must be integers, got {v!r}")
         return 1
+    if not isinstance(v, RationalResidue):
+        raise ValueError(f"scalar values must be rational residues, got {v!r}")
     return v.order
+
+
+def _value_orders(table: FunctionTable) -> list[int]:
+    """The order of each value of a built table, by domain index: a group
+    value's is its cyclic subgroup's order in the codomain's element scan."""
+    if table.codomain is None:
+        return [1 if table.degree == 0 else v.order for v in table.values]
+    records = cyclic_subgroups(table.codomain)
+    record_of, _ = element_scan(table.codomain)
+    return [records[record_of[k]].subgroup_order for k in table.value_indices]
 
 
 def _scale_power(codomain: Group | None, n: int, e: int, v, vo: int):
@@ -96,18 +105,6 @@ class HomogeneityReport:
         return self.homogeneous
 
 
-def generator_orbits(table: FunctionTable):
-    """Per cyclic subgroup of the domain, visited in element-index order of
-    the canonical generators: ``(x, o, orbit)`` with x the lex-least
-    generator, o its order and ``orbit[n % o] = f(n*x)`` for every n in
-    1..o prime to o, read through the element scan's generator orbits.
-    """
-    records = cyclic_subgroups(table.domain)
-    for i, orbit in subgroup_orbits(table.domain):
-        x, o = records[i].canonical_generator, records[i].subgroup_order
-        yield x, o, {n % o: table.values[j] for n, j in orbit}
-
-
 def is_homogeneous(table: FunctionTable) -> HomogeneityReport:
     """Check the defining identity exactly, reporting the first violation.
 
@@ -126,20 +123,21 @@ def is_homogeneous(table: FunctionTable) -> HomogeneityReport:
     failing element of the domain: the report is the one an element-by-
     element scan would give.
     """
-    c = table.codomain
-    d = table.degree
-    for x, o, orbit in generator_orbits(table):
-        fx = orbit[1 % o]
-        orders = {r: _value_order(c, d, v) for r, v in orbit.items()}
-        span = lcm(o, *orders.values())
+    c, d, values = table.codomain, table.degree, table.values
+    orders = _value_orders(table)
+    for _, x, o, orbit in subgroup_orbits(table.domain):
+        j = orbit[1 % o]
+        fx = values[j]
+        span = lcm(o, *(orders[k] for k in orbit.values()))
         for n in range(1, span + 1):
             if gcd(n, o) != 1:
                 continue
-            fnx = orbit[n % o]
+            k = orbit[n % o]
+            fnx = values[k]
             if d >= 0:
-                ok = fnx == _scale_power(c, n, d, fx, orders[1 % o])
+                ok = fnx == _scale_power(c, n, d, fx, orders[j])
             else:
-                ok = _scale_power(c, n, -d, fnx, orders[n % o]) == fx
+                ok = _scale_power(c, n, -d, fnx, orders[k]) == fx
             if not ok:
                 return HomogeneityReport(
                     False,
@@ -167,8 +165,7 @@ def from_generator_values(
         )
     orders = []
     for (rec, modulus), v in zip(summands, values):
-        _validate_value(codomain, d, v)
-        vo = _value_order(codomain, d, v)
+        vo = _checked_order(codomain, d, v)
         if modulus % vo:
             raise ValueError(
                 f"value {v} has order {vo}, not dividing the summand "
@@ -176,8 +173,8 @@ def from_generator_values(
             )
         orders.append(vo)
     out: list = [None] * pres.group.order
-    for i, orbit in subgroup_orbits(pres.group):
-        for n, j in orbit:
+    for i, _, _, orbit in subgroup_orbits(pres.group):
+        for n, j in orbit.items():  # n = 0 only for o = 1: n^d * v = v
             out[j] = _scale_power(codomain, n, d, values[i], orders[i])
     return FunctionTable(pres.group, d, tuple(out), codomain)
 
@@ -229,16 +226,16 @@ def to_coordinates(table: FunctionTable) -> tuple:
     if not report.homogeneous:
         raise ValueError(f"table is not homogeneous: {report.detail}")
     pres = graded_presentation(table.domain, table.degree)
+    orders = _value_orders(table)
+    gens = {i: orbit[1 % o] for i, _, o, orbit in subgroup_orbits(table.domain)}
     out = []
-    for rec, modulus in pres.summands:
-        v = table.value_at(rec.canonical_generator)
-        if table.degree != 0:
-            vo = _value_order(table.codomain, table.degree, v)
-            if modulus % vo:
-                raise ValueError(
-                    f"value order {vo} at {rec.canonical_generator} exceeds "
-                    f"summand modulus {modulus}"
-                )
-        out.append(v)
+    for i, (rec, modulus) in enumerate(pres.summands):
+        j = gens[i]  # the index of rec.canonical_generator
+        if modulus % orders[j]:  # degree 0: every modulus is 0
+            raise ValueError(
+                f"value order {orders[j]} at {rec.canonical_generator} exceeds "
+                f"summand modulus {modulus}"
+            )
+        out.append(table.values[j])
     return tuple(out)
 

@@ -12,6 +12,10 @@ function tables and transfers. Every element generates exactly one cyclic
 subgroup, and the scan claims each element exactly once, so its cost is
 the sum of the subgroup orders rather than ``|G|^2``. Only the scan maps a
 multiplier n to the element n*x; the rest read it off the scan.
+
+An element is checked once, where it enters (``Group.element_index``,
+``element_order``); inside, code reads the scan by the index that the check
+or the scan itself produced, and checks nothing again.
 """
 
 from __future__ import annotations
@@ -150,10 +154,6 @@ class Group:
             return "1"
         return ",".join(str(n) for n in self.invariant_factors)
 
-    @property
-    def rank(self) -> int:
-        return len(self.factor_orders)
-
     # -- elements ---------------------------------------------------------
 
     @property
@@ -171,15 +171,6 @@ class Group:
             idx = idx * n + x
         return idx
 
-    def element_at(self, idx: int) -> GroupElement:
-        if not 0 <= idx < self.order:
-            raise ValueError(f"element index {idx} out of range")
-        out = []
-        for n in reversed(self.factor_orders):
-            out.append(idx % n)
-            idx //= n
-        return tuple(reversed(out))
-
     def validate_element(self, g: GroupElement) -> None:
         if (
             len(g) != len(self.factor_orders)
@@ -187,9 +178,6 @@ class Group:
             or any(map(ge, g, self.factor_orders))
         ):
             raise ValueError(f"{g} is not an element of Z/{self.spec}")
-
-    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.factor_orders))
 
     def scale(self, m: int, a: GroupElement) -> GroupElement:
         return tuple((m * x) % n for x, n in zip(a, self.factor_orders))
@@ -282,18 +270,22 @@ def generated_record_index(group: Group, g: GroupElement) -> int:
     return _subgroup_scan(group)[1][group.element_index(g)]
 
 
-def generator_multiplier(group: Group, g: GroupElement) -> int:
-    """The n in 1..o(g), prime to o(g), with ``g = n*x`` for the canonical
-    generator x of ``<g>``."""
-    return _subgroup_scan(group)[2][group.element_index(g)]
+def element_scan(group: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(record_of, multiplier)`` by element index: element j is
+    ``multiplier[j]`` times the canonical generator of the
+    ``record_of[j]``-th cyclic subgroup."""
+    return _subgroup_scan(group)[1:3]
 
 
 def subgroup_orbits(group: Group):
     """Per cyclic subgroup, in element-index order of its canonical
-    generator x: its record index and the pairs ``(n, index of n*x)``."""
-    _, record_of, multiplier, orbits = _subgroup_scan(group)
+    generator x: ``(i, x, o, orbit)`` with i its record index, o its order
+    and ``orbit[n % o]`` the index of n*x for each n in 1..o prime to o, in
+    ascending n."""
+    records, record_of, multiplier, orbits = _subgroup_scan(group)
     for i, orbit in itertools.groupby(orbits, record_of.__getitem__):
-        yield i, [(multiplier[j], j) for j in orbit]
+        x, o = records[i].canonical_generator, records[i].subgroup_order
+        yield i, x, o, {multiplier[j] % o: j for j in orbit}
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,11 @@ over its finite period, once per cyclic subgroup of the source, and
 refuses the construction when one breaks (such t exist: squaring on Z/5 at
 degree 2, x -> 1/x mod 5 on Z/5 at degree -1).
 
-Neither side computes a multiple n*x: the audit walks the source's
-generator orbits as the element scan lists them, and ``project_element``
-reads a value's summand and multiplier off the target's scan, so each
-value is projected in O(1) where it is used.
+Neither side computes a multiple n*x or checks an element: each value of
+t was checked once, as the table was built, which gave its index in the
+target. The audit walks the source's generator orbits as the element scan
+lists them, and ``project_index`` reads each value's summand and
+multiplier off the target's scan by that index.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
-from .bracket import GradedPresentation, graded_presentation, project_element
-from .functions import FunctionTable, generator_orbits, is_homogeneous
-from .groups import QZ_ZERO, InternalInvariantError, RationalResidue
+from .bracket import GradedPresentation, graded_presentation, project_index
+from .functions import FunctionTable, is_homogeneous
+from .groups import QZ_ZERO, InternalInvariantError, RationalResidue, subgroup_orbits
 
 
 class TransferError(ValueError):
@@ -82,12 +83,7 @@ def induced_graded_map(table: FunctionTable) -> InducedGradedMap:
     source = graded_presentation(table.domain, d)
     target = graded_presentation(table.codomain, d)
 
-    images = tuple(
-        project_element(target, table.value_at(rec.canonical_generator))
-        for rec, _ in source.summands
-    )
-
-    _audit_relations(table, target, d)
+    images = _audit_relations(table, target, d)
 
     # Structure: every hit target summand is fully hit (unit coordinate),
     # and the source summand order kills the image coordinate.
@@ -116,10 +112,13 @@ def induced_graded_map(table: FunctionTable) -> InducedGradedMap:
     return InducedGradedMap(source, target, images, tuple(sections), kernel_size)
 
 
-def _audit_relations(table: FunctionTable, target: GradedPresentation, d: int) -> None:
+def _audit_relations(
+    table: FunctionTable, target: GradedPresentation, d: int
+) -> tuple[tuple[int, int], ...]:
     """Check that every defining relation [n*g] - n^d*[g] of the source
     bracket maps to a relation of the target bracket, and raise at the
-    first one that does not.
+    first one that does not. Return the images [t(x)] of the canonical
+    generators in summand order, which the check projects on its way.
 
     For fixed g both sides are periodic in n with period
     lcm(o(g), target modulus at [t(g)]), so the finite range decides all
@@ -134,9 +133,11 @@ def _audit_relations(table: FunctionTable, target: GradedPresentation, d: int) -
     element-index order, and the first failure is the one an
     element-by-element scan would report.
     """
-    for g, o, orbit in generator_orbits(table):
-        proj = {r: project_element(target, v) for r, v in orbit.items()}
-        j0, c0 = proj[1 % o]
+    values = table.value_indices
+    images = {}
+    for i, g, o, orbit in subgroup_orbits(table.domain):
+        proj = {r: project_index(target, values[j]) for r, j in orbit.items()}
+        j0, c0 = images[i] = proj[1 % o]
         m0 = target.moduli[j0]
         span = lcm(o, m0)
         for n in range(1, span + 1):
@@ -155,6 +156,7 @@ def _audit_relations(table: FunctionTable, target: GradedPresentation, d: int) -
                     f"degree {d}: target coordinates ({j1}, {c1}) vs "
                     f"({j0}, {rhs})"
                 )
+    return tuple(images[i] for i in range(len(images)))
 
 
 def _validate_hom(coords, moduli, what: str) -> list[RationalResidue]:

@@ -3,6 +3,7 @@ the result cache, and CSV table generation."""
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,8 @@ import homok.snf
 from homok import cli, verify
 from homok.bracket import graded_presentation
 from homok.cli import ResultCache, _family_factors, _parse_primes, _pool_size, main
-from homok.groups import Group
+from homok.functions import from_generator_values
+from homok.groups import Group, element_order
 
 
 def run_cli(argv, capsys):
@@ -100,6 +102,26 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "not an integer" in err or "not a list" in err
         assert '"f_coords"' in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "t_values",
+        [[[0], [1], [4], [4], [1]], [[0], [2], [4], [1], [3]]],
+        ids=["not-homogeneous", "homogeneous"],
+    )
+    def test_f_coords_length_is_checked_with_the_job(
+        self, t_values, tmp_path, capsys
+    ):
+        """Z/5 has two cyclic subgroups, so a job on it takes two f_coords.
+        A third is a usage error found when the job is read, before t is
+        checked or its map built."""
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"d": 1, "source": "5", "target": "5",
+                                   "t_values": t_values, "f_coords": [1, 2, 3]}))
+        code, out, err = run_cli(["transfer", "--job", str(job)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: f_coords needs 2 entries, one per source summand, got 3\n"
+        )
 
     def test_missing_job_file(self, capsys):
         code, _, err = run_cli(["transfer", "--job", "/no/such/file"], capsys)
@@ -227,6 +249,49 @@ class TestBracketsFromTheCensus:
                 assert want[0] == 0 and want[2] == ""
         finally:
             graded_presentation.cache_clear()
+
+
+class TestTransferChecksEachValueOnce:
+    @pytest.mark.parametrize(
+        "source, target", [((5, 25), (25,)), ((81,), (27,)), ((3, 9), (9,))]
+    )
+    def test_cold_job_checks_no_element_twice(
+        self, source, target, tmp_path, capsys, monkeypatch
+    ):
+        """A cold degree-1 transfer job checks each value of t once, as the
+        table is built, and no element after that: the homogeneity check,
+        the projection and the audit read the element scans by index."""
+        rng = random.Random(23)
+        src, dst = Group(source), Group(target)
+        pres = graded_presentation(src, 1)
+        elems = list(dst.elements())
+        images = [
+            rng.choice([y for y in elems if a % element_order(dst, y) == 0])
+            for a in pres.moduli
+        ]
+        table = from_generator_values(pres, images, dst)
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "d": 1, "source": src.spec, "target": dst.spec,
+            "t_values": [list(v) for v in table.values],
+            "f_coords": [rng.randrange(1000) for _ in pres.moduli],
+        }))
+        homok.groups._subgroup_scan.cache_clear()
+        homok.groups.cyclic_subgroup_census.cache_clear()
+        graded_presentation.cache_clear()
+        calls = 0
+        real = Group.validate_element
+
+        def counted(group, g):
+            nonlocal calls
+            calls += 1
+            return real(group, g)
+
+        monkeypatch.setattr(Group, "validate_element", counted)
+        code, out, err = run_cli(["transfer", "--job", str(job)], capsys)
+        assert (code, err) == (0, "")
+        assert "transfer of f" in out
+        assert calls <= src.order
 
 
 class TestDocuments:

@@ -2,6 +2,7 @@
 decomposition."""
 
 import random
+import re
 from collections import Counter
 from math import gcd, prod
 
@@ -9,6 +10,7 @@ import pytest
 
 import homok.groups
 from homok.bracket import graded_presentation, project_element
+from homok.functions import FunctionTable, from_generator_values
 from homok.groups import (
     CapExceededError,
     Group,
@@ -20,14 +22,19 @@ from homok.groups import (
     cyclic_subgroup_count,
     cyclic_subgroups,
     element_order,
+    element_scan,
     generated_record_index,
-    generator_multiplier,
     invariant_factors_from_orders,
     parse_group_spec,
     subgroup_orbits,
     sylow_decompose,
 )
 from homok.snf import cokernel_invariants
+
+
+def add(group, a, b):
+    """``a + b`` in ``group``, coordinatewise."""
+    return tuple((x + y) % n for x, y, n in zip(a, b, group.factor_orders))
 
 
 def brute_cyclic_subgroups(group):
@@ -38,7 +45,7 @@ def brute_cyclic_subgroups(group):
         h = group.zero
         while True:
             members.add(h)
-            h = group.add(h, g)
+            h = add(group, h, g)
             if h == group.zero:
                 members.add(h)
                 break
@@ -87,16 +94,44 @@ def test_element_indexing_roundtrip():
     g = Group((3, 9))
     for idx, el in enumerate(g.elements()):
         assert g.element_index(el) == idx
-        assert g.element_at(idx) == el
     with pytest.raises(ValueError):
         g.element_index((3, 0))
-    with pytest.raises(ValueError):
-        g.element_at(27)
+
+
+@pytest.mark.parametrize(
+    "bad", [(3, 0), (0, 9), (-1, 0), (1,), (0, 0, 0)],
+    ids=["first-out", "second-out", "negative", "short", "long"],
+)
+def test_every_entry_point_refuses_a_non_element(bad):
+    """An element is checked where it enters, with one text for all entry
+    points: an index, an order, a projection at d = 1 and d = -1, a
+    table value and a generator value."""
+    g = Group((3, 9))
+    text = re.escape(f"{bad} is not an element of Z/3,9")
+
+    def refused():
+        return pytest.raises(ValueError, match=text)
+
+    with refused():
+        g.element_index(bad)
+    with refused():
+        element_order(g, bad)
+    with refused():
+        generated_record_index(g, bad)
+    for d in (1, -1):
+        with refused():
+            project_element(graded_presentation(g, d), bad)
+    values = [g.zero] * 27
+    values[5] = bad
+    with refused():
+        FunctionTable(Group((27,)), 1, tuple(values), g)
+    with refused():
+        from_generator_values(graded_presentation(Group((3,)), 1), [g.zero, bad], g)
 
 
 def test_element_arithmetic():
     g = Group((4, 6))
-    assert g.add((3, 5), (2, 4)) == (1, 3)
+    assert add(g, (3, 5), (2, 4)) == (1, 3)
     assert g.scale(-1, (1, 2)) == (3, 4)
     assert g.scale(7, (2, 3)) == (2, 3)
 
@@ -128,8 +163,9 @@ def test_cyclic_subgroups_of_3_9():
     g = Group((3, 9))
     records = cyclic_subgroups(g)
     assert len(records) == 8  # brute force below agrees
+    elems = list(g.elements())
     assert brute_cyclic_subgroups(g) == {
-        frozenset(g.element_at(i) for i in record_members(g, rec)) for rec in records
+        frozenset(elems[i] for i in record_members(g, rec)) for rec in records
     }
     # sorted by order then generator, lex-least generator is canonical
     keys = [(rec.subgroup_order, rec.canonical_generator) for rec in records]
@@ -142,9 +178,7 @@ def test_cyclic_subgroups_of_3_9():
         members = record_members(g, rec)
         assert len(set(members)) == o
         gens_in_members = [
-            g.element_at(i)
-            for i in members
-            if element_order(g, g.element_at(i)) == o
+            elems[i] for i in members if element_order(g, elems[i]) == o
         ]
         assert min(gens_in_members) == rec.canonical_generator
 
@@ -169,7 +203,7 @@ def test_generated_record_index(spec):
         o = element_order(g, el)
         for _ in range(o):
             members.add(g.element_index(h))
-            h = g.add(h, el)
+            h = add(g, h, el)
         assert members == set(record_members(g, rec))
 
 
@@ -195,21 +229,23 @@ def test_scan_names_every_element_as_a_generator_multiple():
     groups += [Group((6, 10)), Group((4, 2, 3)), Group((1, 9, 3))]
     for g in groups:
         records = cyclic_subgroups(g)
+        record_of, multiplier = element_scan(g)
+        elems = list(g.elements())
         pres = [graded_presentation(g, d) for d in (1, 2, -1)]
-        for el in g.elements():
+        for j, el in enumerate(elems):
             i, n = brute_position(g, records, el)
             assert generated_record_index(g, el) == i
-            assert generator_multiplier(g, el) == n
+            assert (record_of[j], multiplier[j]) == (i, n)
             for p in pres:
                 assert project_element(p, el) == (i, pow(n, p.degree, p.moduli[i]))
         visited, covered = [], []
-        for i, orbit in subgroup_orbits(g):
-            x, o = records[i].canonical_generator, records[i].subgroup_order
+        for i, x, o, orbit in subgroup_orbits(g):
+            assert (x, o) == (records[i].canonical_generator, records[i].subgroup_order)
             units = [n for n in range(1, o + 1) if gcd(n, o) == 1]
-            assert [n for n, _ in orbit] == units
-            assert [g.element_at(j) for _, j in orbit] == [g.scale(n, x) for n in units]
+            assert list(orbit) == [n % o for n in units]
+            assert [elems[j] for j in orbit.values()] == [g.scale(n, x) for n in units]
             visited.append(x)
-            covered += [j for _, j in orbit]
+            covered += orbit.values()
         assert visited == sorted(rec.canonical_generator for rec in records), g
         assert sorted(covered) == list(range(g.order)), g
 
@@ -222,7 +258,7 @@ def test_scan_builds_no_element(monkeypatch):
         raise AssertionError("the scan called an element helper")
 
     homok.groups._subgroup_scan.cache_clear()
-    for name in ("element_index", "validate_element", "scale", "element_at"):
+    for name in ("element_index", "validate_element", "scale"):
         monkeypatch.setattr(Group, name, refuse)
     for g in (Group((3, 9, 5)), Group((2,) * 10), Group((6, 10))):
         records, record_of, multiplier, orbits = homok.groups._subgroup_scan(g)
