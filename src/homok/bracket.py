@@ -27,6 +27,7 @@ from .groups import (
     cyclic_subgroups,
     element_scan,
     invariant_factors_from_orders,
+    sylow_assembly,
     sylow_decompose,
 )
 from .orders import higher_order
@@ -153,8 +154,6 @@ def sylow_decomposition_invariants(group: Group, degree: int) -> tuple[int, ...]
     """
     if degree == 0:
         raise ValueError("the primary decomposition route needs a nonzero degree")
-    collected: list[int] = []
-    for part in sylow_decompose(group):
-        pres = graded_presentation(part.p_part, degree)
-        collected.extend(list(pres.moduli) * part.q_complement)
-    return invariant_factors_from_orders(collected)
+    return sylow_assembly(
+        sylow_decompose(group), lambda part: graded_presentation(part, degree).moduli
+    )

@@ -24,8 +24,9 @@ from .groups import (
     Group,
     GroupElement,
     InternalInvariantError,
+    SylowPart,
     cyclic_subgroups,
-    invariant_factors_from_orders,
+    sylow_assembly,
     sylow_decompose,
 )
 from .snf import IntMatrix, lattice_invariants
@@ -153,6 +154,19 @@ def _monomial_rows(group: Group) -> IntMatrix:
     return [values for values, _ in level]
 
 
+def lattice_chains(group: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(quotient, coc)`` of the whole group's lattice in ``+ Z/|C|``, from
+    the general rows, or the monomial rows for a prime exponent and rank at
+    least 3: a p-group's chains, and ``sk1_sylow_check``'s reference."""
+    moduli = [rec.subgroup_order for rec in cyclic_subgroups(group)]
+    # on rank 2 the monomials save at most half the rows and cost about p^3
+    if is_prime(group.exponent) and len(group.invariant_factors) >= 3:
+        rows = _monomial_rows(group)
+    else:
+        rows = _coc_basis_rows(group)
+    return lattice_invariants(rows, moduli)
+
+
 @dataclass(frozen=True)
 class SK1Report:
     """Invariant factors of the scalar homogeneous functions, the cocyclic
@@ -164,12 +178,11 @@ class SK1Report:
     coc_invariants: tuple[int, ...]
     quotient_invariants: tuple[int, ...]
     theorem_applies: bool
+    sylow_parts: tuple[SylowPart, ...]
 
     @property
     def q_counts(self) -> dict[int, int]:
-        return {
-            part.prime: part.q_complement for part in sylow_decompose(self.group)
-        }
+        return {part.prime: part.q_complement for part in self.sylow_parts}
 
     def to_json_dict(self) -> dict:
         return {
@@ -186,19 +199,20 @@ class SK1Report:
 def sk1_invariants(group: Group) -> SK1Report:
     """The quotient of scalar homogeneous functions by the cocyclic lattice.
 
-    Computed as the cokernel of the generator matrix in the ambient
-    ``+ Z/|C|``: the general rows, or the monomial rows for a prime
-    exponent and rank at least 3. Even orders are computed too but flagged:
-    the group-ring identification is only available for odd groups.
+    A p-group reads the coc and quotient chains off its own lattice; an
+    order with two or more primes assembles them from its Sylow parts
+    (thm216). Even orders are computed too but flagged: the group-ring
+    identification is only available for odd groups.
     """
-    moduli = [rec.subgroup_order for rec in cyclic_subgroups(group)]
+    parts = sylow_decompose(group)
     hmg = hom_invariants(graded_presentation(group, 1), Target.QZ)
-    # on rank 2 the monomials save at most half the rows and cost about p^3
-    if is_prime(group.exponent) and len(group.invariant_factors) >= 3:
-        rows = _monomial_rows(group)
+    if len(parts) > 1:
+        quotient = sylow_assembly(
+            parts, lambda g: sk1_invariants(g).quotient_invariants
+        )
+        coc = sylow_assembly(parts, lambda g: sk1_invariants(g).coc_invariants)
     else:
-        rows = _coc_basis_rows(group)
-    quotient, coc = lattice_invariants(rows, moduli)
+        quotient, coc = lattice_chains(group)
     if prod(hmg) != prod(coc) * prod(quotient):
         raise InternalInvariantError(
             f"order bookkeeping broke on {group.spec}: "
@@ -210,14 +224,15 @@ def sk1_invariants(group: Group) -> SK1Report:
         coc_invariants=coc,
         quotient_invariants=quotient,
         theorem_applies=group.order % 2 == 1,
+        sylow_parts=tuple(parts),
     )
 
 
 @dataclass(frozen=True)
 class SylowComparison:
-    """Direct quotient invariants vs the primary-decomposition assembly
-    (one copy of each p-part's quotient per cyclic subgroup of the
-    complement)."""
+    """The quotient of the whole group's lattice (``direct``) vs that of
+    ``sk1_invariants``, assembled from the Sylow parts on a mixed order;
+    ``equal`` also requires their coc chains to agree."""
 
     group: Group
     direct: tuple[int, ...]
@@ -227,18 +242,16 @@ class SylowComparison:
 
 
 def sk1_sylow_check(group: Group) -> SylowComparison:
-    direct = sk1_invariants(group).quotient_invariants
-    collected: list[int] = []
-    per_prime = []
-    for part in sylow_decompose(group):
-        part_quotient = sk1_invariants(part.p_part).quotient_invariants
-        per_prime.append((part.prime, part_quotient, part.q_complement))
-        collected.extend(list(part_quotient) * part.q_complement)
-    assembled = invariant_factors_from_orders(collected)
+    direct, coc = lattice_chains(group)
+    report = sk1_invariants(group)
     return SylowComparison(
         group=group,
         direct=direct,
-        assembled=assembled,
-        equal=direct == assembled,
-        per_prime=tuple(per_prime),
+        assembled=report.quotient_invariants,
+        equal=(direct, coc) == (report.quotient_invariants, report.coc_invariants),
+        per_prime=tuple(
+            (part.prime, sk1_invariants(part.p_part).quotient_invariants,
+             part.q_complement)
+            for part in report.sylow_parts
+        ),
     )

@@ -393,6 +393,13 @@ def sylow_decompose(group: Group) -> list[SylowPart]:
     return parts
 
 
+def sylow_assembly(parts, chain) -> tuple[int, ...]:
+    """The canonical chain of the sum, over the parts, of q_complement
+    copies of the summand orders ``chain(part.p_part)`` (a tuple)."""
+    orders = [o for part in parts for o in chain(part.p_part) * part.q_complement]
+    return invariant_factors_from_orders(orders)
+
+
 def _partitions(n: int, largest: int | None = None):
     if n == 0:
         yield ()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arith import factorize, is_prime
+from .arith import is_prime
 
 __all__ = [
     "OracleStabilizationError",
@@ -79,16 +79,17 @@ def higher_order(d: int, k: int) -> int:
     """The d-th order of k.
 
     ``d = 0`` gives 0 (every ``u**0 - 1`` vanishes, the value generates the
-    full relation group); ``d = 1`` gives k; otherwise the normalized values
-    ``o_d(k)/k`` multiply over the prime powers in ``|d|``.
+    full relation group); otherwise ``o_prime_power`` over the prime powers
+    of |d| multiplies out to k * r, r the part of |d| on the primes of k
+    (by gcds, d is never factored) with a factor 2 made ``gcd(4, k + 2)``.
     """
     _validate_k(k)
     if d == 0:
         return 0
-    out = k
-    for p, s in factorize(abs(d)).items():
-        out *= o_prime_power(p, s, k) // k
-    return out
+    rest, r = abs(d), 1
+    while (g := gcd(rest, k)) > 1:
+        rest, r = rest // g, r * g
+    return k * (r // 2 * gcd(4, k + 2) if r % 2 == 0 else r)
 
 
 def vp_factorial(n: int, p: int) -> int:

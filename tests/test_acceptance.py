@@ -199,7 +199,8 @@ def test_criterion_09_quotient_sylow_shape():
     _report(
         9,
         ok,
-        "quotient assembles over primes, |G|<=200; (3,3,3,5) multiplicity 2",
+        "quotient and lattice assemble over primes, |G|<=200; "
+        "(3,3,3,5) multiplicity 2",
         elapsed,
     )
 
@@ -345,8 +346,10 @@ def test_criterion_14_odd_quotients_match_ados():
 
 def test_criterion_15_presentation_invariance():
     # the hmg, coc and sk1 chains do not depend on how the group is
-    # presented, though the columns, rows and their order do; sk1_invariants
-    # is called directly, since the result cache is keyed by the group
+    # presented, though the columns, rows and their order do; each
+    # presentation's own lattice is computed in process, since the result
+    # cache is keyed by the group and sk1_invariants assembles mixed orders
+    # from the canonical p-parts
     t0 = time.monotonic()
     result = run_suite("presentations")
     elapsed = time.monotonic() - t0

@@ -21,6 +21,7 @@ from homok.groups import (
     cyclic_subgroup_count,
     cyclic_subgroups,
     element_order,
+    invariant_factors_from_orders,
 )
 from homok.oracles import span_in_ambient
 
@@ -401,6 +402,31 @@ class TestQuotientInvariants:
         finally:
             sk1_invariants.cache_clear()
 
+    def test_mixed_order_builds_only_p_group_lattices(self, monkeypatch):
+        # a mixed order is assembled from its Sylow parts: no cyclic
+        # subgroup list or lattice row of the whole group is built
+        seen = []
+
+        def recording(fn):
+            def wrapper(group):
+                seen.append(group)
+                return fn(group)
+            return wrapper
+
+        for name in ("cyclic_subgroups", "_coc_basis_rows", "_monomial_rows"):
+            monkeypatch.setattr(
+                homok.cocyclic, name, recording(getattr(homok.cocyclic, name))
+            )
+        sk1_invariants.cache_clear()
+        cocyclic_subgroups.cache_clear()
+        try:
+            report = sk1_invariants(Group((3, 3, 3, 5)))
+        finally:
+            sk1_invariants.cache_clear()
+            cocyclic_subgroups.cache_clear()
+        assert report.quotient_invariants == (3,) * 6
+        assert set(seen) == {Group((3, 3, 3)), Group((5,))}
+
     def test_json_shape(self):
         doc = sk1_invariants(Group((9, 3, 5))).to_json_dict()
         assert doc["group"] == "3,45"
@@ -423,3 +449,21 @@ class TestSylowComparison:
     def test_assembly_matches_direct_on_a_sample(self):
         for spec in [(15,), (45,), (3, 3), (2, 2, 3), (12,), (27, 5), (3, 3, 5)]:
             assert sk1_sylow_check(Group(spec)).equal
+
+    def test_a_wrong_lattice_assembly_is_caught(self, monkeypatch):
+        # the right order as one cyclic summand: |hmg| = |coc| * |quotient|
+        # still holds, and on (3,3,5) both p-part quotients are trivial, so
+        # only the lattice chains tell
+        real = homok.cocyclic.sylow_assembly
+
+        def one_summand(parts, chain):
+            return invariant_factors_from_orders([prod(real(parts, chain))])
+
+        monkeypatch.setattr(homok.cocyclic, "sylow_assembly", one_summand)
+        sk1_invariants.cache_clear()
+        try:
+            cmp = sk1_sylow_check(Group((3, 3, 5)))
+        finally:
+            sk1_invariants.cache_clear()
+        assert cmp.direct == cmp.assembled == ()
+        assert not cmp.equal

@@ -5,6 +5,8 @@ from math import gcd
 
 import pytest
 
+import homok.orders
+from homok.arith import factorize
 from homok.orders import (
     OracleStabilizationError,
     higher_order,
@@ -69,6 +71,35 @@ def test_closed_form_matches_oracle(d):
 def test_closed_form_matches_oracle_on_tight_cells(d, k):
     assert higher_order_oracle(d, k) == higher_order(d, k)
     assert _short_fold(d, k) != higher_order(d, k)
+
+
+def _prime_power_product(d, k):
+    """o_d(k) as the product of ``o_prime_power(p, s, k)/k`` over the prime
+    powers p^s of |d|, times k."""
+    out = k
+    for p, s in factorize(abs(d)).items():
+        out *= o_prime_power(p, s, k) // k
+    return out
+
+
+def test_closed_form_is_the_product_over_the_prime_powers_of_d():
+    for d in range(-150, 151):
+        if d:
+            for k in range(1, 101):
+                assert higher_order(d, k) == _prime_power_product(d, k), (d, k)
+
+
+def test_a_huge_degree_is_not_factored(monkeypatch):
+    # only the primes of d that divide k count; 10**17 + 3 is prime to 12,
+    # and trial division of it would run for minutes
+    def refuse(n):
+        raise AssertionError(f"higher_order factored {n}")
+
+    monkeypatch.setattr(homok.orders, "factorize", refuse, raising=False)
+    big = 10**17 + 3
+    assert higher_order(big, 3) == 3
+    assert higher_order(-(2**5) * 3**4 * big, 12) == 12 * (2**4 * 2) * 3**4
+    assert higher_order(2 * big, 4) == 4 * gcd(4, 6)
 
 
 def test_oracle_refuses_a_budget_below_the_degree():

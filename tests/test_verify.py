@@ -3,7 +3,9 @@ in full (the expensive ones are exercised by the acceptance module)."""
 
 import pytest
 
+import homok.cocyclic
 from homok import verify
+from homok.arith import factorize
 
 
 def test_registry_names():
@@ -71,3 +73,21 @@ def test_ados_suite():
     result = verify.run_suite("ados")
     assert result.passed
     assert result.checks == 35
+
+
+def test_presentations_compare_each_mixed_presentation_own_lattice(monkeypatch):
+    # a fault only in the rows of a non-canonical mixed-order presentation;
+    # sk1_invariants assembles such a group from canonical p-parts and would
+    # never build these rows, so the suite must read each one's own lattice
+    real = homok.cocyclic._coc_basis_rows
+
+    def no_rows_off_canonical(group):
+        mixed = len(factorize(group.order)) > 1
+        if mixed and group.factor_orders != group.invariant_factors:
+            return []
+        return real(group)
+
+    monkeypatch.setattr(homok.cocyclic, "_coc_basis_rows", no_rows_off_canonical)
+    result = verify.run_suite("presentations", fail_fast=True)
+    assert not result.passed
+    assert "presented as" in result.failures[0]
