@@ -12,10 +12,11 @@ ring.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd, prod
+from math import comb, gcd, prod
 from operator import mul
 
 from .arith import is_prime
@@ -157,7 +158,7 @@ def _monomial_rows(group: Group) -> IntMatrix:
 def lattice_chains(group: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(quotient, coc)`` of the whole group's lattice in ``+ Z/|C|``, from
     the general rows, or the monomial rows for a prime exponent and rank at
-    least 3: a p-group's chains, and ``sk1_sylow_check``'s reference."""
+    least 3: ``sk1_sylow_check``'s reference, and ``ados``'s."""
     moduli = [rec.subgroup_order for rec in cyclic_subgroups(group)]
     # on rank 2 the monomials save at most half the rows and cost about p^3
     if is_prime(group.exponent) and len(group.invariant_factors) >= 3:
@@ -201,19 +202,31 @@ def sk1_invariants(group: Group) -> SK1Report:
 
     A p-group reads the coc and quotient chains off its own lattice; an
     order with two or more primes assembles them from its Sylow parts
-    (thm216). Even orders are computed too but flagged: the group-ring
-    identification is only available for odd groups.
+    (thm216). On (Z/p)^k, k >= 3, coc is (Z/p)^c with c = C(p+k-1, p): the
+    degree-p monomials span it over F_p (``_monomial_rows``), and the c
+    reduced ones are independent functions, fixed by their values at the
+    generators as f(mx) = m f(x). Even orders are computed too but flagged:
+    the group-ring identification is only available for odd groups.
     """
     parts = sylow_decompose(group)
+    p, k = group.exponent, len(group.invariant_factors)
     hmg = hom_invariants(graded_presentation(group, 1), Target.QZ)
     if len(parts) > 1:
         quotient = sylow_assembly(
             parts, lambda g: sk1_invariants(g).quotient_invariants
         )
         coc = sylow_assembly(parts, lambda g: sk1_invariants(g).coc_invariants)
+    elif is_prime(p) and k >= 3:
+        c, q = comb(p + k - 1, p), (p**k - 1) // (p - 1)
+        quotient, coc = (p,) * (q - c), (p,) * c
     else:
         quotient, coc = lattice_chains(group)
-    if prod(hmg) != prod(coc) * prod(quotient):
+    # one power per distinct factor: (2)^16 has 65 535 in hmg
+    hmg_order, coc_order, quotient_order = (
+        prod(map(pow, counts, counts.values()))
+        for counts in map(Counter, (hmg, coc, quotient))
+    )
+    if hmg_order != coc_order * quotient_order:
         raise InternalInvariantError(
             f"order bookkeeping broke on {group.spec}: "
             "|hmg| != |coc| * |quotient|"
@@ -231,8 +244,8 @@ def sk1_invariants(group: Group) -> SK1Report:
 @dataclass(frozen=True)
 class SylowComparison:
     """The quotient of the whole group's lattice (``direct``) vs that of
-    ``sk1_invariants``, assembled from the Sylow parts on a mixed order;
-    ``equal`` also requires their coc chains to agree."""
+    ``sk1_invariants``, assembled from the Sylow parts on a mixed order or
+    in closed form; ``equal`` also requires their coc chains to agree."""
 
     group: Group
     direct: tuple[int, ...]

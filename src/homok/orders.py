@@ -18,7 +18,6 @@ __all__ = [
     "OracleStabilizationError",
     "higher_order",
     "higher_order_oracle",
-    "o_prime_power",
     "vp_factorial",
 ]
 
@@ -63,25 +62,14 @@ def higher_order_oracle(d: int, k: int) -> int:
     return gcd(*((1 + i * k) ** e - 1 for i in range(1, e + 1)))
 
 
-def o_prime_power(p: int, s: int, k: int) -> int:
-    """The (p**s)-th order of k in closed form."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if s < 1:
-        raise ValueError(f"exponent must be >= 1, got {s}")
-    _validate_k(k)
-    if p == 2:
-        return k * gcd(2, k) ** (s - 1) * gcd(4, k + 2)
-    return k * gcd(p, k) ** s
-
-
 def higher_order(d: int, k: int) -> int:
     """The d-th order of k.
 
     ``d = 0`` gives 0 (every ``u**0 - 1`` vanishes, the value generates the
-    full relation group); otherwise ``o_prime_power`` over the prime powers
-    of |d| multiplies out to k * r, r the part of |d| on the primes of k
-    (by gcds, d is never factored) with a factor 2 made ``gcd(4, k + 2)``.
+    full relation group); otherwise the (p^s)-th orders ``k * gcd(p, k)^s``
+    over the prime powers of |d| multiply out to k * r, r the part of |d|
+    on the primes of k (by gcds, d is never factored), with a factor 2
+    made ``gcd(4, k + 2)``.
     """
     _validate_k(k)
     if d == 0:

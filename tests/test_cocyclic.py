@@ -12,6 +12,7 @@ from homok.cocyclic import (
     _coc_basis_rows,
     _monomial_rows,
     cocyclic_subgroups,
+    lattice_chains,
     sk1_invariants,
     sk1_sylow_check,
 )
@@ -311,8 +312,9 @@ class TestQuotientInvariants:
     def test_elementary_case_agrees_with_field_rank(self):
         # for (Z/p)^r the ambient moduli are p at every nontrivial line, so
         # the quotient is (Z/p)^(lines - rank) and a plain field rank of the
-        # general rows is an independent oracle; from rank 3 on sk1 takes
-        # the degree-p monomial rows, which must span the same F_p space
+        # general rows is an independent oracle; from rank 3 on sk1 takes a
+        # closed form, and lattice_chains the degree-p monomial rows, which
+        # must span the same F_p space
         specs = [
             (3, 3), (3, 3, 3), (5, 5), (5, 5, 5), (7, 7),
             (2, 2, 2), (2,) * 5, (2,) * 6, (3,) * 4, (3,) * 5, (5,) * 4,
@@ -402,9 +404,10 @@ class TestQuotientInvariants:
         finally:
             sk1_invariants.cache_clear()
 
-    def test_mixed_order_builds_only_p_group_lattices(self, monkeypatch):
-        # a mixed order is assembled from its Sylow parts: no cyclic
-        # subgroup list or lattice row of the whole group is built
+    @staticmethod
+    def _built(monkeypatch, spec):
+        """``sk1_invariants`` of a fresh ``Group(spec)``, and the groups it
+        built a cyclic subgroup list or lattice rows of."""
         seen = []
 
         def recording(fn):
@@ -420,12 +423,34 @@ class TestQuotientInvariants:
         sk1_invariants.cache_clear()
         cocyclic_subgroups.cache_clear()
         try:
-            report = sk1_invariants(Group((3, 3, 3, 5)))
+            report = sk1_invariants(Group(spec))
         finally:
             sk1_invariants.cache_clear()
             cocyclic_subgroups.cache_clear()
+        return report, set(seen)
+
+    def test_mixed_order_builds_only_p_group_lattices(self, monkeypatch):
+        # a mixed order is assembled from its Sylow parts: no cyclic
+        # subgroup list or lattice row of the whole group is built, and the
+        # elementary (3,3,3) part takes the closed form
+        report, seen = self._built(monkeypatch, (3, 3, 3, 5))
         assert report.quotient_invariants == (3,) * 6
-        assert set(seen) == {Group((3, 3, 3)), Group((5,))}
+        assert seen == {Group((5,))}
+
+    def test_elementary_rank_three_builds_no_lattice(self, monkeypatch):
+        report, seen = self._built(monkeypatch, (2,) * 6)
+        assert report.quotient_invariants == (2,) * (63 - 21)
+        assert seen == set()
+
+    def test_closed_form_equals_the_f_p_rank(self):
+        # no published formula covers p = 2; lattice_chains ranks the
+        # degree-p monomial rows over F_p
+        specs = [(2,) * k for k in range(3, 13)] + [(3,) * k for k in range(3, 8)]
+        specs += [(5, 5, 5), (5,) * 4, (7, 7, 7), (11,) * 3, (13,) * 3]
+        for spec in specs:
+            report = sk1_invariants(Group(spec))
+            chains = (report.quotient_invariants, report.coc_invariants)
+            assert chains == lattice_chains(Group(spec)), spec
 
     def test_json_shape(self):
         doc = sk1_invariants(Group((9, 3, 5))).to_json_dict()

@@ -11,7 +11,6 @@ from homok.orders import (
     OracleStabilizationError,
     higher_order,
     higher_order_oracle,
-    o_prime_power,
     vp_factorial,
 )
 
@@ -74,11 +73,15 @@ def test_closed_form_matches_oracle_on_tight_cells(d, k):
 
 
 def _prime_power_product(d, k):
-    """o_d(k) as the product of ``o_prime_power(p, s, k)/k`` over the prime
-    powers p^s of |d|, times k."""
+    """o_d(k) as the product of the (p^s)-th orders of k over the prime
+    powers p^s of |d|, each ``k * gcd(p, k)^s`` (for p = 2,
+    ``k * gcd(2, k)^(s-1) * gcd(4, k + 2)``) divided by k, times k."""
     out = k
     for p, s in factorize(abs(d)).items():
-        out *= o_prime_power(p, s, k) // k
+        if p == 2:
+            out *= gcd(2, k) ** (s - 1) * gcd(4, k + 2)
+        else:
+            out *= gcd(p, k) ** s
     return out
 
 
@@ -121,11 +124,7 @@ def test_k_divides_order_and_order_divides_multiples():
             assert higher_order(3 * d, k) % o == 0
 
 
-def test_o_prime_power_validation():
-    with pytest.raises(ValueError):
-        o_prime_power(4, 1, 3)
-    with pytest.raises(ValueError):
-        o_prime_power(3, 0, 3)
+def test_order_validation():
     with pytest.raises(ValueError):
         higher_order(2, 0)
     with pytest.raises(ValueError):

@@ -75,6 +75,39 @@ def test_ados_suite():
     assert result.checks == 35
 
 
+def test_ados_reads_the_f_p_rank(monkeypatch):
+    # sk1_invariants takes the ADOS count in closed form, so the suite must
+    # read the lattice's own rank: one monomial row fewer is one more
+    # quotient factor on (3)^3
+    real = homok.cocyclic._monomial_rows
+    monkeypatch.setattr(homok.cocyclic, "_monomial_rows", lambda g: real(g)[1:])
+    result = verify.run_suite("ados", fail_fast=True)
+    assert not result.passed
+    assert result.failures[0].startswith("G = (3)^3:")
+
+
+def test_thm216_counts_only_what_sk1_does_not_read_off_the_lattice():
+    # 278 mixed orders and 8 elementary groups of rank >= 3 of order <= 200;
+    # for any other p-group sk1_invariants is lattice_chains itself
+    result = verify.run_suite("thm216")
+    assert result.passed
+    assert result.checks == 278 + 8
+
+
+def test_a_wrong_closed_form_fails_thm216(monkeypatch):
+    # one factor moved from the quotient to the lattice: the order check of
+    # sk1_invariants still holds, only the comparison with the rank tells
+    real = homok.cocyclic.comb
+    monkeypatch.setattr(homok.cocyclic, "comb", lambda n, k: real(n, k) + 1)
+    homok.cocyclic.sk1_invariants.cache_clear()
+    try:
+        result = verify.run_suite("thm216", fail_fast=True)
+    finally:
+        homok.cocyclic.sk1_invariants.cache_clear()
+    assert not result.passed
+    assert result.failures[0].startswith("G = 2,2,2:")
+
+
 def test_presentations_compare_each_mixed_presentation_own_lattice(monkeypatch):
     # a fault only in the rows of a non-canonical mixed-order presentation;
     # sk1_invariants assembles such a group from canonical p-parts and would
