@@ -74,17 +74,3 @@ def vp(n: int, p: int) -> int:
         n //= p
     return v
 
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns ``(g, s, t)`` with ``s*a + t*b == g >= 0``."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t

@@ -200,10 +200,11 @@ def _cached(cache, kind: str, group: Group, params, fields, compute):
 
 
 def _emit(args, document, lines) -> None:
+    """``document`` as JSON, or the text ``lines()``, built only to print."""
     if args.json:
         print(json.dumps(document, sort_keys=True))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -228,18 +229,16 @@ def cmd_group(args) -> int:
             for rec in records
         ],
     }
-    lines = [
+    _emit(args, document, lambda: [
         f"group: {group.spec}",
         f"canonical: {group.canonical_spec}",
         f"order: {group.order}",
         f"exponent: {group.exponent}",
         f"cyclic subgroups: q = {len(records)}",
-    ]
-    lines += [
+    ] + [
         f"  order {rec.subgroup_order:>4}  generator {rec.canonical_generator}"
         for rec in records
-    ]
-    _emit(args, document, lines)
+    ])
     return 0
 
 
@@ -247,7 +246,7 @@ def cmd_od(args) -> int:
     closed = higher_order(args.d, args.k)
     document = {"d": args.d, "k": args.k, "closed_form": closed}
     if not args.oracle:
-        _emit(args, document, [f"o_{args.d}({args.k}) = {closed}"])
+        _emit(args, document, lambda: [f"o_{args.d}({args.k}) = {closed}"])
         return 0
     sampled = higher_order_oracle(args.d, args.k)
     agree = sampled == closed
@@ -256,7 +255,9 @@ def cmd_od(args) -> int:
     _emit(
         args,
         document,
-        [f"closed form {closed}, oracle {sampled}, agreement {str(agree).lower()}"],
+        lambda: [
+            f"closed form {closed}, oracle {sampled}, agreement {str(agree).lower()}"
+        ],
     )
     return 0 if agree else 1
 
@@ -288,16 +289,14 @@ def cmd_gd(args) -> int:
     }
     cache = ResultCache.from_args(args)
     document = _cached(cache, "gd", group, [args.d], fields, compute)
-    lines = [
+    _emit(args, document, lambda: [
         f"bracket of {group.canonical_spec} at degree {args.d}",
         f"summand orders: {document['moduli']}",
         f"invariants: {_chain(document['invariants'])}",
-    ]
-    if args.d == 0:
-        lines.append(f"free rank: {document['free_rank']}")
-    else:
-        lines.append(f"size: {document['size']}")
-    _emit(args, document, lines)
+        f"free rank: {document['free_rank']}"
+        if args.d == 0
+        else f"size: {document['size']}",
+    ])
     return 0
 
 
@@ -342,16 +341,14 @@ def cmd_hmg(args) -> int:
     }
     cache = ResultCache.from_args(args)
     document = _cached(cache, "hmg", group, [args.d, target_name], fields, compute)
-    lines = [
+    _emit(args, document, lambda: [
         f"homogeneous functions on {group.canonical_spec}, degree {args.d}, "
         f"target {target_name}",
         f"invariants: {_chain(document['invariants'])}",
-    ]
-    if "free_rank" in document:
-        lines.append(f"free rank: {document['free_rank']}")
-    else:
-        lines.append(f"order: {document['order']}")
-    _emit(args, document, lines)
+        f"free rank: {document['free_rank']}"
+        if "free_rank" in document
+        else f"order: {document['order']}",
+    ])
     return 0
 
 
@@ -386,28 +383,26 @@ def cmd_coc(args) -> int:
         "coc": coc,
         "coc_order": prod(coc),
     }
-    lines = [
+    _emit(args, document, lambda: [
         f"cocyclic subgroups of {group.canonical_spec}: {document['count']}",
         "cyclic quotient orders: "
         + ", ".join(f"{q} (x{n})" for q, n in document["quotient_profile"]),
         f"lattice invariants: {_chain(coc)}",
         f"lattice order: {document['coc_order']}",
-    ]
-    _emit(args, document, lines)
+    ])
     return 0
 
 
 def cmd_sk1(args) -> int:
     group = parse_group_spec(args.group)
     document = _sk1_document(ResultCache.from_args(args), group)
-    lines = [
+    _emit(args, document, lambda: [
         f"group: {document['group']}",
         f"scalar invariants: {_chain(document['hmg'])}",
         f"cocyclic lattice: {_chain(document['coc'])}",
         f"quotient: {_chain(document['sk1'])}",
         f"theorem 4.1 applies: {str(document['theorem_4_1_applies']).lower()}",
-    ]
-    _emit(args, document, lines)
+    ])
     return 0
 
 
@@ -467,13 +462,6 @@ def cmd_transfer(args) -> int:
         "sections": [list(s) if s else None for s in mapping.sections],
         "kernel_size": mapping.kernel_size,
     }
-    lines = [
-        f"induced map on degree-{degree} brackets: "
-        f"{source.canonical_spec} -> {target.canonical_spec}",
-        f"source summand orders: {document['source_moduli']}",
-        f"target summand orders: {document['target_moduli']}",
-        f"kernel size: {mapping.kernel_size}",
-    ]
     if f_coords is not None:
         f = tuple(
             RationalResidue.of(c, m) if m > 1 else RationalResidue(0, 1)
@@ -481,8 +469,13 @@ def cmd_transfer(args) -> int:
         )
         out = transfer_apply(mapping, f)
         document["transfer"] = [str(v) for v in out]
-        lines.append(f"transfer of f: {document['transfer']}")
-    _emit(args, document, lines)
+    _emit(args, document, lambda: [
+        f"induced map on degree-{degree} brackets: "
+        f"{source.canonical_spec} -> {target.canonical_spec}",
+        f"source summand orders: {document['source_moduli']}",
+        f"target summand orders: {document['target_moduli']}",
+        f"kernel size: {mapping.kernel_size}",
+    ] + ([] if f_coords is None else [f"transfer of f: {document['transfer']}"]))
     return 0
 
 

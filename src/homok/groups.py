@@ -339,13 +339,17 @@ def invariant_factors_from_orders(orders) -> tuple[int, ...]:
     """
     free = 0
     per_prime: dict[int, list[int]] = {}
+    factored: dict[int, dict[int, int]] = {}  # censuses repeat few orders
     for o in orders:
         if o < 0:
             raise ValueError(f"summand order must be >= 0, got {o}")
         if o == 0:
             free += 1
             continue
-        for p, e in factorize(o).items():
+        primes = factored.get(o)
+        if primes is None:
+            primes = factored[o] = factorize(o)
+        for p, e in primes.items():
             per_prime.setdefault(p, []).append(e)
     for exps in per_prime.values():
         exps.sort(reverse=True)

@@ -3,20 +3,21 @@ invariant factors of quotients and subgroups of ``Z/m1 x ... x Z/mq``.
 
 Matrices are plain ``list[list[int]]`` acting on row vectors; a subgroup of
 the ambient group is described by generator rows together with the implicit
-relation rows ``m_j * e_j``. Quotient and subgroup invariants come from one
-triangular fold and two eliminations over ``Z/p^n`` per prime
-(``lattice_invariants``), or, when the ambient exponent is prime, from one
-rank over that field. The generic Smith form (``smith_normal_form``, one
-elimination that always carries its transforms) is off that path: it
-serves ``smith_diagonal``, ``invert_unimodular`` (V @ U) and
-``subgroup_basis``.
+relation rows ``m_j * e_j``. ``lattice_invariants`` works one prime p at
+a time, on the rows reduced to the p-part of the ambient group: one rank
+over F_p when p^2 does not divide the exponent, and otherwise one
+triangular fold and two eliminations over ``Z/p^n``. Every one of them
+pivots on an entry of least p-adic valuation, so no extended gcd is taken.
+The generic Smith form (``smith_normal_form``, one elimination that always
+carries its transforms) is off that path: it serves ``smith_diagonal``,
+``invert_unimodular`` (V @ U) and ``subgroup_basis``.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .arith import factorize, is_prime, xgcd
+from .arith import factorize
 from .groups import InternalInvariantError, invariant_factors_from_orders
 
 IntMatrix = list[list[int]]
@@ -166,10 +167,16 @@ def _validate_ambient(rows: IntMatrix, moduli: list[int]) -> None:
             )
 
 
-def _hermite_basis(rows: IntMatrix, moduli: list[int]) -> IntMatrix:
+def _hermite_basis(rows: IntMatrix, moduli: list[int], pn: int) -> IntMatrix:
     """Upper-triangular row basis of the lattice spanned by ``rows`` together
-    with the relation rows ``moduli[j] * e_j``.
+    with the relation rows ``moduli[j] * e_j``, every modulus a divisor of
+    the prime power ``pn``.
 
+    Every pivot is a power of p. An entry that the pivot of its column
+    divides is cleared with the pivot row. An entry ``p^v * u`` of lower
+    valuation takes the pivot's place instead: its row, scaled by the
+    inverse of the unit u mod ``pn``, becomes the pivot row, and the old
+    pivot row minus ``pivot / p^v`` times it continues down the columns.
     Entries are kept reduced modulo the ambient moduli throughout -- adding a
     multiple of ``m_j * e_j`` never leaves the lattice, and it keeps the
     arithmetic on word-sized integers even for thousands of generator rows.
@@ -204,29 +211,16 @@ def _hermite_basis(rows: IntMatrix, moduli: list[int]) -> IntMatrix:
                 for j, b in support[c]:
                     row[j] = (row[j] - f * b) % moduli[j]
             else:
-                g, sc, tc = xgcd(pivot, val)
-                fb = pivot // g
-                fv = val // g
-                new_basis = brow[:]
+                pv = gcd(val, pivot)  # p^v, as the pivot is a power of p
+                unit_inv = pow(val // pv, -1, pn)
+                f = pivot // pv
+                new_basis = [0] * q
                 for j in range(c, q):
-                    bj, rj = brow[j], row[j]
-                    new_basis[j] = (sc * bj + tc * rj) % moduli[j]
-                    row[j] = (fb * rj - fv * bj) % moduli[j]
-                new_basis[c] = g
-                row[c] = 0
+                    nj = row[j] * unit_inv % moduli[j]
+                    new_basis[j] = nj
+                    row[j] = (brow[j] - f * nj) % moduli[j]
                 basis[c] = new_basis
                 support[c] = [(j, b) for j in range(c, q) if (b := new_basis[j])]
-    return basis
-
-
-def _checked_fold(rows: IntMatrix, moduli: list[int]) -> IntMatrix:
-    """``_hermite_basis``, checked: the relation row ``m_j e_j`` lies in the
-    folded lattice only if pivot j divides ``m_j``."""
-    basis = _hermite_basis(rows, moduli)
-    if any(m % brow[c] for c, (brow, m) in enumerate(zip(basis, moduli))):
-        raise InternalInvariantError(
-            "relation row does not lie in the folded lattice"
-        )
     return basis
 
 
@@ -281,35 +275,40 @@ def lattice_invariants(
     rows: IntMatrix, moduli: list[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Invariant factors of the quotient ``(Z/m1 x ... x Z/mq) / <rows>``
-    and of the subgroup ``<rows>`` itself, from one Hermite fold.
+    and of the subgroup ``<rows>`` itself, one prime at a time.
 
-    With B the triangular basis of ``rows`` stacked on ``diag(moduli)``, the
-    quotient is ``Z^q / rowspan(B)``, killed by the exponent e of the
-    ambient group; for each prime power ``p^n`` exactly dividing e, its
-    p-part is read off B reduced mod ``p^n``. ``x_j -> p^(n-v_p(m_j)) x_j``
-    embeds the p-part of the ambient group in ``(Z/p^n)^q``, so the p-part
-    of the subgroup is the row span of B scaled that way; rows of B still
-    equal to their relation ``m_j e_j`` scale to 0 and are skipped. When e
-    is prime the ambient group is a vector space over F_e, and the rank r
-    of the rows there gives both: ``(e,) * (live - r)`` and ``(e,) * r``,
-    live the columns of modulus e. Each chain is ascending with unit
-    factors dropped.
+    For each prime power ``p^n`` exactly dividing the exponent of the
+    ambient group, its p-part is ``+ Z/l_j`` with ``l_j = gcd(m_j, p^n)``,
+    and the p-parts of the quotient and the subgroup are those of the rows
+    reduced mod ``l_j``. When n = 1 that is a vector space over F_p, and
+    the rank r of the rows on its live columns gives both: ``(p,) * (live -
+    r)`` and ``(p,) * r``. Otherwise B, the fold of the rows stacked on
+    ``diag(l)``, has prime-power pivots, and the quotient's p-part is read
+    off B over ``Z/p^n``. ``x_j -> (p^n / l_j) x_j`` embeds the p-part in
+    ``(Z/p^n)^q``, so the subgroup's p-part is the row span of B scaled
+    that way; rows of B still equal to their relation ``l_j e_j`` scale to
+    0 and are skipped. Each chain is ascending with unit factors dropped.
     """
     _validate_ambient(rows, moduli)
-    e = lcm(*moduli)
-    if is_prime(e):  # every modulus is 1 or e: a vector space over F_e
-        live = [c for c, m in enumerate(moduli) if m == e]
-        rows = [[row[c] for c in live] for row in rows]
-        rank = len(_local_exponents(rows, e, 1))
-        return (e,) * (len(live) - rank), (e,) * rank
-    basis = _checked_fold(rows, moduli)
-    moved = [brow for c, brow in enumerate(basis) if brow[c] != moduli[c]]
     quotient, subgroup = [], []
-    for p, n in factorize(e).items():
+    for p, n in factorize(lcm(*moduli)).items():
         pn = p**n
+        local = [gcd(m, pn) for m in moduli]
+        if n == 1:
+            live = [c for c, m in enumerate(local) if m == p]
+            rank = len(_local_exponents([[row[c] for c in live] for row in rows], p, 1))
+            quotient += [p] * (len(live) - rank)
+            subgroup += [p] * rank
+            continue
+        basis = _hermite_basis(rows, local, pn)
+        if any(m % brow[c] for c, (brow, m) in enumerate(zip(basis, local))):
+            raise InternalInvariantError(
+                "relation row does not lie in the folded lattice"
+            )
         pivots = _local_exponents(basis, p, n)
         quotient += [p**v for v in pivots if v] + [pn] * (len(moduli) - len(pivots))
-        scale = [(j, pn // gcd(m, pn)) for j, m in enumerate(moduli) if m % p == 0]
+        moved = [brow for c, brow in enumerate(basis) if brow[c] != local[c]]
+        scale = [(j, pn // m) for j, m in enumerate(local) if m > 1]
         scaled = [[brow[j] * s for j, s in scale] for brow in moved]
         subgroup += [p ** (n - v) for v in _local_exponents(scaled, p, n)]
     return (
@@ -341,19 +340,22 @@ def subgroup_basis(
     cyclic pieces of exactly those orders.
 
     ``x_j -> (e / m_j) x_j`` embeds the ambient group in ``(Z/e)^q``, e its
-    exponent. If ``U @ C @ V == S`` for B scaled that way, V is an
-    automorphism of ``(Z/e)^q`` taking the rows of ``U @ C`` to ``S[i][i] *
-    e_i``: the rows of ``U @ B`` have orders ``e / gcd(S[i][i], e)``.
+    exponent. Stack the rows on ``diag(moduli)`` and scale the stack that
+    way to C. If ``U @ C @ V == S``, V is an automorphism of ``(Z/e)^q``
+    taking the rows of ``U @ C`` to ``S[i][i] * e_i``: the first q rows of
+    ``U @ stack`` have orders ``e / gcd(S[i][i], e)``, and the rest are 0.
     """
     _validate_ambient(rows, moduli)
+    q = len(moduli)
     e = lcm(*moduli)
-    basis = _checked_fold(rows, moduli)
+    stack = [[x % m for x, m in zip(row, moduli)] for row in rows]
+    stack += [[m * (i == j) for j in range(q)] for i, m in enumerate(moduli)]
     u, s, _ = smith_normal_form(
-        [[x * (e // m) for x, m in zip(brow, moduli)] for brow in basis]
+        [[x * (e // m) for x, m in zip(row, moduli)] for row in stack]
     )
     out = []
-    for i, brow in enumerate(matmul(u, basis)):
+    for i, row in enumerate(matmul(u, stack)[:q]):
         order = e // gcd(s[i][i], e)
         if order > 1:
-            out.append((tuple(x % m for x, m in zip(brow, moduli)), order))
+            out.append((tuple(x % m for x, m in zip(row, moduli)), order))
     return out[::-1]

@@ -149,7 +149,7 @@ class TestExitCodes:
         monkeypatch.setattr(
             homok.snf,
             "_hermite_basis",
-            lambda r, m: [[2 * x for x in row] for row in real(r, m)],
+            lambda r, m, pn: [[2 * x for x in row] for row in real(r, m, pn)],
         )
         homok.cocyclic.sk1_invariants.cache_clear()
         try:
@@ -295,6 +295,25 @@ class TestTransferChecksEachValueOnce:
 
 
 class TestDocuments:
+    def test_json_builds_no_text(self, monkeypatch, capsys):
+        # the text lines are built only when printed, so --json never
+        # joins a chain
+        monkeypatch.delenv("HOMOK_CACHE_DIR", raising=False)
+
+        def refuse(invariants):
+            raise RuntimeError("a text chain was built under --json")
+
+        monkeypatch.setattr(cli, "_chain", refuse)
+        for argv in (
+            ["sk1", "--group", "3,9"],
+            ["coc", "--group", "3,9"],
+            ["gd", "--group", "3,9", "--d", "2"],
+            ["hmg", "--group", "3,9", "--d", "2"],
+        ):
+            code, out, err = run_cli(argv + ["--json"], capsys)
+            assert (code, err) == (0, ""), argv
+            assert json.loads(out)["group"] == "3,9"
+
     def test_group_card(self, capsys):
         code, out, _ = run_cli(["group", "3,9,5", "--json"], capsys)
         assert code == 0

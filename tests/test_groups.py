@@ -334,6 +334,20 @@ def test_invariant_factors_from_orders():
     assert invariant_factors_from_orders([]) == ()
 
 
+def test_invariant_factors_factor_each_distinct_order_once(monkeypatch):
+    calls = Counter()
+    real = homok.groups.factorize
+
+    def counted(n):
+        calls[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(homok.groups, "factorize", counted)
+    orders = [2] * 1000 + [6, 4, 6, 0, 1, 4]
+    assert invariant_factors_from_orders(orders) == (2,) * 1002 + (12, 12, 0)
+    assert calls == Counter({2: 1, 6: 1, 4: 1, 1: 1})
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_invariant_factors_match_smith_route(seed):
     rng = random.Random(0x0D0 + seed)

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 
+import homok.snf
+from homok.arith import factorize
 from homok.snf import (
     cokernel_invariants,
     determinant,
@@ -241,3 +243,28 @@ def test_lattice_invariants_edge_cases():
     # pivot search resumes at that row's index
     assert lattice_invariants([[3, 3, 3], [3, 6, 5]], [8, 27, 9]) == ((3,), (9, 72))
     assert lattice_invariants([[8, 6, 5], [3, 2, 0]], [27, 8, 4]) == ((2,), (4, 108))
+    # one prime of exponent p (a rank over F_p) next to one of a higher power
+    # (a fold over Z/p^n)
+    assert lattice_invariants([[1, 3]], [2, 9]) == ((3,), (6,))
+    assert lattice_invariants([], [2, 9]) == ((18,), ())
+    assert lattice_invariants([[3, 3, 2]], [6, 9, 4]) == ((3, 12), (6,))
+    assert lattice_invariants([[1, 6, 2], [4, 3, 0]], [6, 9, 4]) == ((12,), (3, 6))
+    rows = [[2, 0, 1], [0, 3, 2], [3, 3, 3]]
+    assert lattice_invariants(rows, [6, 9, 4]) == ((3,), (6, 12))
+
+
+def test_each_fold_sees_one_prime_power(monkeypatch):
+    # mixed moduli are folded one prime at a time, so every pivot is a
+    # power of that prime and no extended gcd is needed
+    seen = []
+    real = homok.snf._hermite_basis
+
+    def spy(rows, moduli, *rest):
+        seen.append(factorize(lcm(*moduli)))
+        return real(rows, moduli, *rest)
+
+    monkeypatch.setattr(homok.snf, "_hermite_basis", spy)
+    rows = [[1, 3, 6, 5], [0, 6, 4, 10]]
+    assert lattice_invariants(rows, [2, 9, 12, 25]) == ((60,), (3, 30))
+    assert [list(f) for f in seen] == [[2], [3], [5]]
+
