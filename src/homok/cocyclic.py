@@ -19,7 +19,7 @@ from itertools import compress
 from math import comb, gcd, prod
 from operator import mul
 
-from .arith import is_prime
+from .arith import factorize, is_prime
 from .bracket import Target, graded_presentation, hom_invariants
 from .groups import (
     Group,
@@ -158,7 +158,8 @@ def _monomial_rows(group: Group) -> IntMatrix:
 def lattice_chains(group: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(quotient, coc)`` of the whole group's lattice in ``+ Z/|C|``, from
     the general rows, or the monomial rows for a prime exponent and rank at
-    least 3: ``sk1_sylow_check``'s reference, and ``ados``'s."""
+    least 3: ``sk1_sylow_check``'s reference, and the computed side of
+    ``ados`` and ``ados-odd``."""
     moduli = [rec.subgroup_order for rec in cyclic_subgroups(group)]
     # on rank 2 the monomials save at most half the rows and cost about p^3
     if is_prime(group.exponent) and len(group.invariant_factors) >= 3:
@@ -196,17 +197,52 @@ class SK1Report:
         }
 
 
+def reads_own_lattice(group: Group) -> bool:
+    """Whether ``sk1_invariants`` takes ``group``'s chains from
+    ``lattice_chains``: only for a p-group that no rule of its docstring
+    covers, of rank >= 3 and non-prime exponent, or of rank 2 with no
+    factor of order p, and for (p, p). ``thm216`` checks every other group."""
+    inv = group.invariant_factors
+    if len(factorize(group.order)) > 1:
+        return False
+    if len(inv) >= 3:
+        return not is_prime(group.exponent)
+    # the whole-group rule holds on (p, p) too, but perfbench's tracer test
+    # needs `sk1 --group 7,7` to reach the lattice (ROADMAP item 1(a))
+    return len(inv) == 2 and (not is_prime(inv[0]) or inv[0] == inv[1])
+
+
 @lru_cache(maxsize=None)
 def sk1_invariants(group: Group) -> SK1Report:
     """The quotient of scalar homogeneous functions by the cocyclic lattice.
 
-    A p-group reads the coc and quotient chains off its own lattice; an
-    order with two or more primes assembles them from its Sylow parts
-    (thm216). On (Z/p)^k, k >= 3, coc is (Z/p)^c with c = C(p+k-1, p): the
-    degree-p monomials span it over F_p (``_monomial_rows``), and the c
-    reduced ones are independent functions, fixed by their values at the
-    generators as f(mx) = m f(x). Even orders are computed too but flagged:
-    the group-ring identification is only available for odd groups.
+    An order with two or more primes assembles the coc and quotient chains
+    from its Sylow parts (thm216). A p-group reads them off its own lattice
+    unless one of two rules decides them (``reads_own_lattice``):
+
+    - On (Z/p)^k, k >= 3, coc is (Z/p)^c with c = C(p+k-1, p): the
+      degree-p monomials span it over F_p (``_monomial_rows``), and the c
+      reduced ones are independent functions, fixed by their values at the
+      generators as f(mx) = m f(x).
+    - On C_(p^b) and C_p x C_(p^b), b >= 2, the lattice L is the whole group
+      A of homogeneous functions, so coc is hmg and the quotient is trivial
+      (ADOS, Invent. Math. 87, 1987). The proof below covers b = 1 as well;
+      ``reads_own_lattice`` says why (p, p) still reads its lattice.
+      Pair A = + over C of C^ with + over C of C: then
+      L^perp = {(c_C) : c_C in C, sum over C in K of c_C = 0 for each
+      cocyclic K}, and L = A iff L^perp = 0. At rank <= 2, G/K is cyclic
+      iff K is not inside pG, so each cyclic C not inside pG is cocyclic,
+      and all its proper subgroups lie in pG. Cyclic G: the subgroups form
+      one chain, each cocyclic, and induction up the chain gives c = 0.
+      G = C_p x C_(p^b): pG is cyclic, with subgroups P_0 < ... < P_(b-1),
+      and the non-cyclic subgroups are K_j = G[p^j], j = 1..b, all
+      cocyclic. Induct on j: a cyclic C not inside pG of order p^j has
+      c_C = -(sum over i < j of c_(P_i)) = 0, and the K_j condition minus
+      the K_(j-1) condition (K_0 = 0) leaves c_(P_j) = 0.
+
+    hmg comes from the census either way. Even orders are computed too but
+    flagged: the group-ring identification is only available for odd
+    groups.
     """
     parts = sylow_decompose(group)
     p, k = group.exponent, len(group.invariant_factors)
@@ -216,11 +252,13 @@ def sk1_invariants(group: Group) -> SK1Report:
             parts, lambda g: sk1_invariants(g).quotient_invariants
         )
         coc = sylow_assembly(parts, lambda g: sk1_invariants(g).coc_invariants)
-    elif is_prime(p) and k >= 3:
+    elif reads_own_lattice(group):
+        quotient, coc = lattice_chains(group)
+    elif k >= 3:
         c, q = comb(p + k - 1, p), (p**k - 1) // (p - 1)
         quotient, coc = (p,) * (q - c), (p,) * c
     else:
-        quotient, coc = lattice_chains(group)
+        quotient, coc = (), hmg
     # one power per distinct factor: (2)^16 has 65 535 in hmg
     hmg_order, coc_order, quotient_order = (
         prod(map(pow, counts, counts.values()))

@@ -128,14 +128,15 @@ class TestExitCodes:
         assert code == 2
 
     def test_internal_invariant_break_exits_1(self, monkeypatch, capsys):
-        # a quotient chain that breaks |hmg| = |coc| * |quotient|
+        # a quotient chain that breaks |hmg| = |coc| * |quotient|; (9,9) is
+        # a p-group that no rule covers, so it reaches the lattice
         real = homok.cocyclic.lattice_invariants
         monkeypatch.setattr(
             homok.cocyclic, "lattice_invariants", lambda r, m: ((3,), real(r, m)[1])
         )
         homok.cocyclic.sk1_invariants.cache_clear()
         try:
-            code, out, err = run_cli(["sk1", "--group", "9"], capsys)
+            code, out, err = run_cli(["sk1", "--group", "9,9"], capsys)
         finally:
             homok.cocyclic.sk1_invariants.cache_clear()
         assert code == 1
@@ -153,7 +154,7 @@ class TestExitCodes:
         )
         homok.cocyclic.sk1_invariants.cache_clear()
         try:
-            code, out, err = run_cli(["sk1", "--group", "9,3"], capsys)
+            code, out, err = run_cli(["sk1", "--group", "9,9"], capsys)
         finally:
             homok.cocyclic.sk1_invariants.cache_clear()
         assert code == 1

@@ -432,10 +432,36 @@ class TestQuotientInvariants:
     def test_mixed_order_builds_only_p_group_lattices(self, monkeypatch):
         # a mixed order is assembled from its Sylow parts: no cyclic
         # subgroup list or lattice row of the whole group is built, and the
-        # elementary (3,3,3) part takes the closed form
-        report, seen = self._built(monkeypatch, (3, 3, 3, 5))
-        assert report.quotient_invariants == (3,) * 6
-        assert seen == {Group((5,))}
+        # elementary (3,3,3) part takes the closed form; only (4,4) reaches
+        # its lattice
+        report, seen = self._built(monkeypatch, (3, 3, 3, 4, 4))
+        # (3)^3 ten times (10 cyclic subgroups of (4,4)) and (2) fourteen
+        # times (14 of (3)^3), canonicalised
+        assert report.quotient_invariants == (3,) * 16 + (6,) * 14
+        assert seen == {Group((4, 4))}
+
+    def test_rank_two_with_a_factor_p_builds_no_lattice(self, monkeypatch):
+        # C_(p^b) and C_p x C_(p^b), b >= 2, take the whole group as their
+        # lattice, also as Sylow parts of a mixed order
+        for spec in [(2, 32768), (7, 49), (9973,), (3, 5, 25, 7)]:
+            report, seen = self._built(monkeypatch, spec)
+            assert report.quotient_invariants == ()
+            assert report.coc_invariants == report.hmg_invariants
+            assert seen == set(), spec
+        _, seen = self._built(monkeypatch, (7, 7))
+        assert seen == {Group((7, 7))}
+
+    def test_whole_group_rule_equals_the_lattice(self):
+        specs = [(2, 2**b) for b in range(2, 16)]
+        specs += [(3, 3**b) for b in range(2, 10)]
+        specs += [(5, 5**b) for b in range(2, 7)]
+        specs += [(7, 7**b) for b in range(2, 5)]
+        specs += [(p, p * p) for p in (11, 13, 31)]
+        specs += [(2**16,), (3**10,), (5**7,), (9973,)]
+        for spec in specs:
+            report = sk1_invariants(Group(spec))
+            chains = (report.quotient_invariants, report.coc_invariants)
+            assert chains == lattice_chains(Group(spec)), spec
 
     def test_elementary_rank_three_builds_no_lattice(self, monkeypatch):
         report, seen = self._built(monkeypatch, (2,) * 6)

@@ -1,11 +1,14 @@
 """Runner behavior for the verification suites, plus the cheap suites run
 in full (the expensive ones are exercised by the acceptance module)."""
 
+from math import prod
+
 import pytest
 
 import homok.cocyclic
 from homok import verify
 from homok.arith import factorize
+from homok.groups import invariant_factors_from_orders
 
 
 def test_registry_names():
@@ -87,11 +90,33 @@ def test_ados_reads_the_f_p_rank(monkeypatch):
 
 
 def test_thm216_counts_only_what_sk1_does_not_read_off_the_lattice():
-    # 278 mixed orders and 8 elementary groups of rank >= 3 of order <= 200;
-    # for any other p-group sk1_invariants is lattice_chains itself
+    # of order <= 200: 278 mixed orders, 8 elementary groups of rank >= 3,
+    # and 61 cyclic p-groups (the trivial group among them) and 8 groups
+    # C_p x C_(p^b), b >= 2, whose lattice is the whole group; for any other
+    # p-group sk1_invariants is lattice_chains itself
     result = verify.run_suite("thm216")
     assert result.passed
-    assert result.checks == 278 + 8
+    assert result.checks == 278 + 8 + 61 + 8
+
+
+def test_a_wrong_whole_group_rule_fails_thm216(monkeypatch):
+    # hmg merged into one cyclic factor: on a rule group coc is hmg, so the
+    # order check of sk1_invariants still holds and only the lattice tells;
+    # the groups before (4), of order 1, 2 and 3, have at most one factor,
+    # and (2,2) reads its own lattice
+    real = homok.cocyclic.hom_invariants
+    monkeypatch.setattr(
+        homok.cocyclic,
+        "hom_invariants",
+        lambda pres, target: invariant_factors_from_orders([prod(real(pres, target))]),
+    )
+    homok.cocyclic.sk1_invariants.cache_clear()
+    try:
+        result = verify.run_suite("thm216", fail_fast=True)
+    finally:
+        homok.cocyclic.sk1_invariants.cache_clear()
+    assert not result.passed
+    assert result.failures[0].startswith("G = 4:")
 
 
 def test_a_wrong_closed_form_fails_thm216(monkeypatch):
@@ -106,6 +131,27 @@ def test_a_wrong_closed_form_fails_thm216(monkeypatch):
         homok.cocyclic.sk1_invariants.cache_clear()
     assert not result.passed
     assert result.failures[0].startswith("G = 2,2,2:")
+
+
+def test_ados_odd_reads_the_lattice(monkeypatch):
+    # one more factor p in the lattice's quotient whenever the smallest
+    # prime p of the moduli has p + 1 cyclic subgroups of order p and p^2
+    # is a modulus, that is a Sylow p-subgroup of rank 2 and exponent above
+    # p; sk1_invariants decides (3,9) and (3,27) by a rule, so a suite that
+    # read it would pass them and fail first on (9,9)
+    real = homok.cocyclic.lattice_invariants
+
+    def one_more_factor(rows, moduli):
+        quotient, coc = real(rows, moduli)
+        p = min((m for m in moduli if m > 1), default=0)
+        if moduli.count(p) == p + 1 and p * p in moduli:
+            quotient = invariant_factors_from_orders([*quotient, p])
+        return quotient, coc
+
+    monkeypatch.setattr(homok.cocyclic, "lattice_invariants", one_more_factor)
+    result = verify.run_suite("ados-odd", fail_fast=True)
+    assert not result.passed
+    assert result.failures[0].startswith("G = 3,9:")
 
 
 def test_presentations_compare_each_mixed_presentation_own_lattice(monkeypatch):
