@@ -546,18 +546,18 @@ def _family_factors(family: str, p: int) -> list[int]:
     factor of order p^e), or an integer constant.
     """
     fam = family.strip()
-    whole = re.fullmatch(r"p\^(\d+)", fam)
+    whole = re.fullmatch(r"p\^([0-9]+)", fam)
     if whole:
         return [p] * int(whole.group(1))
     factors = []
     for term in fam.split(","):
         term = term.strip()
-        power = re.fullmatch(r"p(?:\*\*|\^)(\d+)", term)
+        power = re.fullmatch(r"p(?:\*\*|\^)([0-9]+)", term)
         if power:
             factors.append(p ** int(power.group(1)))
         elif term == "p":
             factors.append(p)
-        elif term.isdigit() and int(term) >= 1:
+        elif term.isascii() and term.isdigit() and int(term) >= 1:
             factors.append(int(term))
         else:
             raise GroupSpecError(
@@ -568,7 +568,7 @@ def _family_factors(family: str, p: int) -> list[int]:
 
 def _parse_primes(text: str) -> list[int]:
     text = text.strip()
-    span = re.fullmatch(r"(\d+)\.\.(\d+)", text)
+    span = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", text)
     if span:
         lo, hi = int(span.group(1)), int(span.group(2))
         primes = [p for p in range(lo, hi + 1) if is_prime(p)]
@@ -576,7 +576,7 @@ def _parse_primes(text: str) -> list[int]:
         primes = []
         for token in text.split(","):
             token = token.strip()
-            if not token.isdigit() or not is_prime(int(token)):
+            if not (token.isascii() and token.isdigit()) or not is_prime(int(token)):
                 raise GroupSpecError(f"{token!r} is not a prime")
             primes.append(int(token))
     if not primes or len(set(primes)) < len(primes):

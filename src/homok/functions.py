@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .bracket import GradedPresentation, Target, graded_presentation
+from .bracket import GradedPresentation
 from .groups import (
     Group,
     GroupElement,
@@ -177,65 +177,4 @@ def from_generator_values(
         for n, j in orbit.items():  # n = 0 only for o = 1: n^d * v = v
             out[j] = _scale_power(codomain, n, d, values[i], orders[i])
     return FunctionTable(pres.group, d, tuple(out), codomain)
-
-
-def from_coordinates(pres: GradedPresentation, coords, target) -> FunctionTable:
-    """Scalar table from integer homomorphism coordinates.
-
-    For nonzero degree, ``target`` is a modulus m >= 1 and coordinate i
-    denotes the residue coords[i]/m; well-definedness demands
-    ``coords[i] * modulus_i == 0 mod m``. For degree 0 pass ``Target.Z``
-    and plain integers.
-    """
-    if len(coords) != len(pres.summands):
-        raise ValueError(
-            f"expected {len(pres.summands)} coordinates, got {len(coords)}"
-        )
-    if pres.degree == 0:
-        if target is not Target.Z:
-            raise ValueError("degree-0 tables take integer values; pass Target.Z")
-        values = [int(c) for c in coords]
-    else:
-        if target is Target.Z or target is Target.QZ:
-            raise ValueError(
-                "nonzero degree needs a concrete target modulus, e.g. the "
-                "group exponent"
-            )
-        m = int(target)
-        if m < 1:
-            raise ValueError(f"target modulus must be >= 1, got {m}")
-        values = []
-        for (rec, modulus), c in zip(pres.summands, coords):
-            if (int(c) * modulus) % m:
-                raise ValueError(
-                    f"coordinate {c} at modulus {modulus} does not define a "
-                    f"homomorphism into Z/{m}"
-                )
-            values.append(RationalResidue.of(int(c), m))
-    return from_generator_values(pres, values)
-
-
-def to_coordinates(table: FunctionTable) -> tuple:
-    """Per-summand values read at the canonical generators.
-
-    Requires a homogeneous table; also re-checks that each value's order
-    divides its summand modulus (an inconsistent table cannot come from
-    homomorphism coordinates).
-    """
-    report = is_homogeneous(table)
-    if not report.homogeneous:
-        raise ValueError(f"table is not homogeneous: {report.detail}")
-    pres = graded_presentation(table.domain, table.degree)
-    orders = _value_orders(table)
-    gens = {i: orbit[1 % o] for i, _, o, orbit in subgroup_orbits(table.domain)}
-    out = []
-    for i, (rec, modulus) in enumerate(pres.summands):
-        j = gens[i]  # the index of rec.canonical_generator
-        if modulus % orders[j]:  # degree 0: every modulus is 0
-            raise ValueError(
-                f"value order {orders[j]} at {rec.canonical_generator} exceeds "
-                f"summand modulus {modulus}"
-            )
-        out.append(table.values[j])
-    return tuple(out)
 

@@ -190,7 +190,7 @@ def parse_group_spec(text: str) -> Group:
     factors = []
     for token in text.split(","):
         token = token.strip()
-        if not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             raise GroupSpecError(
                 f"bad factor {token!r} in group spec {text!r}: "
                 "expected comma-separated positive integers"

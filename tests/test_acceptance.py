@@ -5,12 +5,15 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 report lines as they complete.
 """
 
+import functools
+import io
 import itertools
 import json
 import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from math import comb, gcd, prod
 
 from homok.arith import divisors, is_prime
@@ -28,6 +31,24 @@ from homok.snf import (
 from homok.verify import available_suites, run_suite
 
 START = time.monotonic()
+
+
+@functools.cache
+def _verify_all() -> tuple[int, dict]:
+    """``verify --suite all --json``, run once per session: its exit code
+    and its report of each suite by name. Criteria 12, 14 and 15 read it."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli_main(["verify", "--suite", "all", "--json"])
+    return code, {e["suite"]: e for e in json.loads(out.getvalue())["suites"]}
+
+
+def _suite_report(name: str) -> dict:
+    """One suite's entry in the shared ``verify --suite all`` report; a
+    suite missing from it fails its criterion."""
+    entry = _verify_all()[1].get(name)
+    assert entry is not None, f"suite {name} is missing from verify --suite all"
+    return entry
 
 
 def _report(number: int, ok: bool, label: str, seconds: float) -> None:
@@ -271,7 +292,7 @@ def test_criterion_11_smith_form_properties():
     )
 
 
-def test_criterion_12_cli_determinism(capsys):
+def test_criterion_12_cli_determinism():
     t0 = time.monotonic()
     outputs = set()
     for spec in ("3,9,5", "3,9,5", "9,3,5", "5,3,9"):
@@ -283,20 +304,17 @@ def test_criterion_12_cli_determinism(capsys):
         outputs.add(proc.stdout)
     ok = len(outputs) == 1
 
-    code = cli_main(["verify", "--suite", "all", "--json"])
-    out = capsys.readouterr().out
-    with capsys.disabled():
-        suites = json.loads(out)["suites"]
-        ok = ok and code == 0 and len(suites) == len(available_suites())
-        ok = ok and all(entry["passed"] for entry in suites)
-        total = time.monotonic() - START
-        elapsed = time.monotonic() - t0
-        _report(
-            12,
-            ok and total < 900,
-            f"byte-identical sk1 output; all suites pass (total {total:.0f}s)",
-            elapsed,
-        )
+    code, suites = _verify_all()
+    ok = ok and code == 0 and list(suites) == list(available_suites())
+    ok = ok and all(entry["passed"] for entry in suites.values())
+    total = time.monotonic() - START
+    elapsed = time.monotonic() - t0
+    _report(
+        12,
+        ok and total < 900,
+        f"byte-identical sk1 output; all suites pass (total {total:.0f}s)",
+        elapsed,
+    )
 
 
 def test_criterion_13_elementary_quotient_matches_ados():
@@ -332,13 +350,14 @@ def test_criterion_14_odd_quotients_match_ados():
     # Alperin, Dennis, Oliver, Stein (Invent. Math. 87, 1987), and R. Oliver,
     # "Whitehead Groups of Finite Groups" (1988), ch. 9: for odd |G|,
     # SK_1(Z[G]) = 0 exactly when every Sylow subgroup is C_(p^n) or
-    # C_p x C_(p^n), and SK_1(Z[C_(p^2) x C_(p^2)]) is (Z/p)^(p-1)
+    # C_p x C_(p^n), and SK_1(Z[C_(p^2) x C_(p^2)]) is (Z/p)^(p-1); the
+    # suite's run is criterion 12's
     t0 = time.monotonic()
-    result = run_suite("ados-odd")
+    result = _suite_report("ados-odd")
     elapsed = time.monotonic() - t0
     _report(
         14,
-        result.passed and result.checks == 256 + 4,
+        result["passed"] and result["checks"] == 256 + 4,
         "SK1 vanishing on the 256 odd groups of order <= 400; "
         "(p^2, p^2) quotients = (p)^(p-1) for p = 3, 5, 7, 11",
         elapsed,
@@ -350,13 +369,13 @@ def test_criterion_15_presentation_invariance():
     # presented, though the columns, rows and their order do; each
     # presentation's own lattice is computed in process, since the result
     # cache is keyed by the group and sk1_invariants assembles mixed orders
-    # from the canonical p-parts
+    # from the canonical p-parts; the suite's run is criterion 12's
     t0 = time.monotonic()
-    result = run_suite("presentations")
+    result = _suite_report("presentations")
     elapsed = time.monotonic() - t0
     _report(
         15,
-        result.passed and result.checks == 641,
+        result["passed"] and result["checks"] == 641,
         "sk1 chains equal on 639 seeded presentations of the groups of "
         "order <= 200; (27,9,3,9) and (27,9,9) against canonical",
         elapsed,

@@ -123,6 +123,51 @@ class TestExitCodes:
             "error: f_coords needs 2 entries, one per source summand, got 3\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, job_source, reason",
+        [
+            (["sk1", "--group", "²"], None,
+             "bad factor '²' in group spec '²': "
+             "expected comma-separated positive integers"),
+            (["sk1", "--group", "１２"], None,
+             "bad factor '１２' in group spec '１２': "
+             "expected comma-separated positive integers"),
+            (["hmg", "--group", "9", "--d", "1", "--target", "２７"], None,
+             "bad factor '２７' in group spec '２７': "
+             "expected comma-separated positive integers"),
+            (["transfer", "--job"], "٣",
+             "bad factor '٣' in group spec '٣': "
+             "expected comma-separated positive integers"),
+            (["table", "--family", "p,٣", "--primes", "3"], None,
+             "bad family term '٣': expected p, p**e, p^e, or an integer"),
+            (["table", "--family", "p^٣", "--primes", "3"], None,
+             "bad family term 'p^٣': expected p, p**e, p^e, or an integer"),
+            (["table", "--family", "p", "--primes", "3..٥"], None,
+             "'3..٥' is not a prime"),
+            (["table", "--family", "p", "--primes", "٣"], None,
+             "'٣' is not a prime"),
+        ],
+        ids=["group-superscript", "group-fullwidth", "target", "job-source",
+             "family-term", "family-rank", "primes-span", "primes-list"],
+    )
+    def test_only_ascii_digits_are_numbers(
+        self, argv, job_source, reason, tmp_path, capsys
+    ):
+        """``str.isdigit`` and ``\\d`` take any Unicode digit; a number in a
+        group spec, a family or a prime list is ASCII digits only."""
+        out = tmp_path / "t.csv"
+        if job_source is not None:
+            job = tmp_path / "job.json"
+            job.write_text(json.dumps({"d": 1, "source": job_source,
+                                       "target": "9", "t_values": [[0], [3], [6]]}))
+            argv = argv + [str(job)]
+        if argv[0] == "table":
+            argv = argv + ["--out", str(out)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert err.endswith(f"{reason}\n") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_job_file(self, capsys):
         code, _, err = run_cli(["transfer", "--job", "/no/such/file"], capsys)
         assert code == 2

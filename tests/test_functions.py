@@ -1,19 +1,17 @@
-"""Function tables: homogeneity checking and coordinate forms."""
+"""Function tables: homogeneity checking and generator values."""
 
 import random
 from math import gcd, lcm
 
 import pytest
 
-from homok.bracket import Target, graded_presentation
+from homok.bracket import graded_presentation
 from homok.functions import (
     FunctionTable,
     HomogeneityReport,
     _scale_power,
-    from_coordinates,
     from_generator_values,
     is_homogeneous,
-    to_coordinates,
 )
 from homok.groups import Group, RationalResidue, cyclic_subgroups, element_order
 
@@ -23,6 +21,12 @@ Q = RationalResidue.of
 def value_at(table, x):
     """The value of ``table`` at the element x of its domain."""
     return table.values[table.domain.element_index(x)]
+
+
+def generator_values(pres, table):
+    """The values of ``table`` at the canonical generators of the summands
+    of ``pres``, in summand order."""
+    return tuple(value_at(table, rec.canonical_generator) for rec, _ in pres.summands)
 
 
 def value_order(codomain, degree, v):
@@ -99,7 +103,7 @@ class TestHomogeneity:
     def test_negative_degree(self):
         g = Group((9,))
         pres = graded_presentation(g, -1)
-        t = from_coordinates(pres, (0, 0, 1), 9)
+        t = from_generator_values(pres, [Q(0, 1), Q(0, 1), Q(1, 9)])
         assert is_homogeneous(t)
         assert value_at(t, (4,)) == Q(7, 9)  # the inverse of 4 mod 9
 
@@ -107,18 +111,14 @@ class TestHomogeneity:
 class TestCoordinates:
     def test_worked_example(self):
         pres = graded_presentation(Group((9,)), 2)
-        t = from_coordinates(pres, (0, 0, 1), 9)
+        values = (Q(0, 1), Q(0, 1), Q(1, 9))
+        t = from_generator_values(pres, values)
         assert value_at(t, (4,)) == Q(7, 9)  # 4^2 / 9
         assert value_at(t, (3,)) == Q(0, 1)
-        assert to_coordinates(t) == (Q(0, 1), Q(0, 1), Q(1, 9))
-        assert is_homogeneous(from_coordinates(pres, (0, 3, 4), 9))
-
-    def test_ill_fitting_coordinate_rejected(self):
-        pres = graded_presentation(Group((9,)), 2)
-        with pytest.raises(ValueError, match="homomorphism"):
-            from_coordinates(pres, (0, 1, 0), 9)
+        assert generator_values(pres, t) == values
         # 3/9 = 1/3 does sit inside the order-3 summand
-        t = from_coordinates(pres, (0, 3, 0), 9)
+        t = from_generator_values(pres, [Q(0, 1), Q(1, 3), Q(4, 9)])
+        assert is_homogeneous(t)
         assert value_at(t, (3,)) == Q(1, 3)
 
     def test_roundtrip_random(self):
@@ -133,30 +133,15 @@ class TestCoordinates:
                     values.append(Q(k, modulus))
                 t = from_generator_values(pres, values)
                 assert is_homogeneous(t)
-                assert to_coordinates(t) == tuple(values)
+                assert generator_values(pres, t) == tuple(values)
 
     def test_degree_zero_coordinates(self):
         g = Group((2, 4))
         pres = graded_presentation(g, 0)
         coords = tuple(range(len(pres.summands)))
-        t = from_coordinates(pres, coords, Target.Z)
+        t = from_generator_values(pres, coords)
         assert is_homogeneous(t)
-        assert to_coordinates(t) == coords
-        with pytest.raises(ValueError, match="Target.Z|integer"):
-            from_coordinates(pres, coords, Target.QZ)
-
-    def test_nonzero_degree_needs_concrete_modulus(self):
-        pres = graded_presentation(Group((9,)), 1)
-        with pytest.raises(ValueError, match="modulus"):
-            from_coordinates(pres, (0, 0, 1), Target.QZ)
-
-    def test_to_coordinates_rejects_inhomogeneous(self):
-        g = Group((9,))
-        vals = [Q(0, 1)] * 9
-        vals[1] = Q(1, 9)
-        vals[2] = Q(5, 9)
-        with pytest.raises(ValueError, match="not homogeneous"):
-            to_coordinates(FunctionTable(g, 1, tuple(vals)))
+        assert generator_values(pres, t) == coords
 
 
 class TestGeneratorValues:
@@ -187,15 +172,17 @@ class TestGeneratorValues:
 class TestCombination:
     def test_coordinates_add(self):
         pres = graded_presentation(Group((9,)), 2)
-        f = from_coordinates(pres, (0, 0, 1), 9)
-        g = from_coordinates(pres, (0, 3, 2), 9)
+        f = from_generator_values(pres, [Q(0, 1), Q(0, 1), Q(1, 9)])
+        g = from_generator_values(pres, [Q(0, 1), Q(1, 3), Q(2, 9)])
         combo = FunctionTable(
             f.domain, 2, tuple(2 * a + 3 * b for a, b in zip(f.values, g.values))
         )
         want = tuple(
-            (2 * a + 3 * b) for a, b in zip(to_coordinates(f), to_coordinates(g))
+            2 * a + 3 * b
+            for a, b in zip(generator_values(pres, f), generator_values(pres, g))
         )
-        assert to_coordinates(combo) == want
+        assert is_homogeneous(combo)
+        assert generator_values(pres, combo) == want
 
 
 def test_homogeneous_count_on_a_tiny_group_by_enumeration():

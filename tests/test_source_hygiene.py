@@ -1,18 +1,20 @@
 """Source hygiene of the package: no module imports a name it never uses,
 no module defines a private module-level function that nothing in the
 package refers to (a helper left behind, or one kept only for tests), and
-every public module-level function or class has a caller in the package
-or is re-exported by ``homok``, and every public method or property of a
-package class is named by some attribute access in the package. No module
-uses an ``assert`` statement, which ``python -O`` strips. The suite's own
-warning filters fail a test that leaves a file open.
+every public module-level function or class has a caller in the package,
+and every public method or property of a package class is named by some
+attribute access in the package. ``homok/__init__`` binds ``__version__``
+and nothing else, so each name is imported from the module that defines
+it, and the README's Library example runs and shows the values it
+computes. No module uses an ``assert`` statement, which ``python -O``
+strips. The suite's own warning filters fail a test that leaves a file open.
 
-Exempt: the re-exports of ``__init__``, import lines marked
-``# noqa: F401``, the public names in ``UNCALLED_PUBLIC`` and the class
-members in ``UNREAD_MEMBERS``.
+Exempt: import lines marked ``# noqa: F401``, the public names in
+``UNCALLED_PUBLIC`` and the class members in ``UNREAD_MEMBERS``.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,8 @@ UNCALLED_PUBLIC = {
     "snf.py smith_diagonal": "timed by name in perfbench/ (ROADMAP item 1)",
     "snf.py subgroup_basis": "timed by name in perfbench/ (ROADMAP item 1)",
     "snf.py invert_unimodular": "timed by name in perfbench/ (ROADMAP item 1)",
+    "snf.py subgroup_invariants": "timed by name in perfbench/",
+    "bracket.py project_element": "timed by name in perfbench/",
     "groups.py generated_record_index": "timed by name in perfbench/; the "
     "package projects by the index that a check already gave",
     "oracles.py count_homogeneous_tables_product": "the brute-force product "
@@ -65,11 +69,40 @@ def _referenced(node) -> set[str]:
     return out
 
 
+def test_package_binds_only_its_version():
+    """``homok/__init__`` imports nothing and re-exports nothing, so
+    ``import homok`` loads no submodule."""
+    _, tree = _modules()["__init__.py"]
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue  # the docstring
+        if isinstance(node, ast.Assign):
+            bound += [ast.unparse(t) for t in node.targets]
+        else:
+            bound.append(ast.unparse(node).splitlines()[0])
+    assert bound == ["__version__"]
+
+
+def test_readme_library_example_runs_as_shown():
+    """The README's Library block imports each name from its module, and
+    each value it shows in a comment is the one it computes."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    shown = [
+        (expr, ast.literal_eval(value))
+        for expr, value in re.findall(r"^(\S.*?)\s+#\s*(\([^)]*\))", block, re.M)
+    ]
+    assert [(expr, eval(expr, namespace)) for expr, _ in shown] == shown
+    assert [value for _, value in shown] == [(), (3, 3, 3)]
+
+
 def test_every_import_is_used():
     unused = []
     for name, (lines, tree) in _modules().items():
-        if name == "__init__.py":
-            continue
         used = set()
         for node in tree.body:
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -85,16 +118,6 @@ def test_every_import_is_used():
                     continue
                 unused.append(f"{name}:{alias.lineno} {bound}")
     assert unused == []
-
-
-def _exported(tree) -> set[str]:
-    """The names listed in the module's ``__all__``, if it has one."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return {elt.value for elt in node.value.elts}
-    return set()
 
 
 def _definitions(modules):
@@ -127,17 +150,15 @@ def test_every_private_function_is_referenced():
 
 
 def test_every_public_name_has_a_caller():
-    """Referred to elsewhere in the package, re-exported by ``homok.__all__``,
-    or a ``cli.cmd_*`` handler (dispatched by name). A module's own
-    ``__all__`` exempts nothing: it would hide a helper only tests call."""
-    modules = _modules()
-    defined, seen = _definitions(modules)
-    package_all = _exported(modules["__init__.py"][1])
+    """Referred to elsewhere in the package, or a ``cli.cmd_*`` handler
+    (dispatched by name). An ``__all__`` exempts nothing: it would hide a
+    helper only tests call."""
+    defined, seen = _definitions(_modules())
     uncalled = [
         f"{m} {node.name}"
         for m, node in defined
         if not node.name.startswith("_")
-        and node.name not in seen | package_all
+        and node.name not in seen
         and not (m == "cli.py" and node.name.startswith("cmd_"))
     ]
     assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
