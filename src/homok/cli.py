@@ -30,6 +30,7 @@ from .bracket import Target, graded_presentation, hom_invariants
 from .cocyclic import sk1_invariants
 from .functions import FunctionTable
 from .groups import (
+    DEFAULT_CAP,
     CapExceededError,
     Group,
     GroupSpecError,
@@ -538,32 +539,44 @@ def cmd_verify(args) -> int:
 # -- table generation -------------------------------------------------------
 
 
-def _family_factors(family: str, p: int) -> list[int]:
-    """Instantiate a family template at the prime p.
+def _family_template(family: str) -> tuple[list[tuple[int, int]], list[int]]:
+    """Parse a family template, once for all its primes.
 
     A bare ``p^n`` is elementary abelian of rank n; otherwise the template
     is comma-separated terms, each ``p``, ``p**e`` / ``p^e`` (the cyclic
-    factor of order p^e), or an integer constant.
+    factor of order p^e), or an integer constant. Returns the p-power
+    factors as (e, how many) pairs, and the constants.
     """
     fam = family.strip()
     whole = re.fullmatch(r"p\^([0-9]+)", fam)
     if whole:
-        return [p] * int(whole.group(1))
-    factors = []
+        return [(1, int(whole.group(1)))], []
+    powers, constants = [], []
     for term in fam.split(","):
         term = term.strip()
-        power = re.fullmatch(r"p(?:\*\*|\^)([0-9]+)", term)
+        power = re.fullmatch(r"p(?:(?:\*\*|\^)([0-9]+))?", term)
         if power:
-            factors.append(p ** int(power.group(1)))
-        elif term == "p":
-            factors.append(p)
+            powers.append((int(power.group(1) or 1), 1))
         elif term.isascii() and term.isdigit() and int(term) >= 1:
-            factors.append(int(term))
+            constants.append(int(term))
         else:
             raise GroupSpecError(
                 f"bad family term {term!r}: expected p, p**e, p^e, or an integer"
             )
-    return factors
+    return powers, constants
+
+
+def _family_factors(template, p: int) -> list[int]:
+    """The factor orders of a parsed family template at the prime p. The
+    order is at least p^t >= 2^t, t the sum of the p-exponents, so a t of the
+    cap's bit length or more is refused before any power is built."""
+    powers, constants = template
+    t = sum(e * n for e, n in powers)
+    if t >= DEFAULT_CAP.bit_length():
+        raise CapExceededError(
+            f"group order of at least {p}^{t} exceeds the cap of {DEFAULT_CAP}"
+        )
+    return [p**e for e, n in powers for _ in range(n)] + constants
 
 
 def _parse_primes(text: str) -> list[int]:
@@ -584,12 +597,10 @@ def _parse_primes(text: str) -> list[int]:
     return primes
 
 
-def _table_row(job):
-    """One CSV row (or a skip reason) for one prime instance. Top level so
-    table generation can fan out one pool worker per instance."""
-    family, p, cache = job
+def _table_row(template, p: int, cache):
+    """One CSV row (or a skip reason) for one prime instance."""
     try:
-        group = Group(_family_factors(family, p))
+        group = Group(_family_factors(template, p))
     except CapExceededError as exc:
         return (p, None, str(exc))
     payload = _sk1_document(cache, group)
@@ -606,17 +617,9 @@ def _table_row(job):
     return (p, row, None)
 
 
-def _pool_size(requested: int | None, rows: int) -> int:
-    """Worker processes for ``rows`` table rows: ``requested`` (default:
-    no limit) capped by the row count and the CPU count, and at least 1."""
-    cap = min(rows, os.cpu_count() or 1)
-    return max(1, cap if requested is None else min(requested, cap))
-
-
 def cmd_table(args) -> int:
     primes = _parse_primes(args.primes)
-    for p in primes:
-        _family_factors(args.family, p)  # fail fast on a bad template
+    template = _family_template(args.family)  # fail fast on a bad template
     # opened before any row is computed, so a bad path costs no work
     try:
         out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
@@ -625,17 +628,8 @@ def cmd_table(args) -> int:
         return 2
     try:
         cache = ResultCache.from_args(args)
-        jobs = [(args.family, p, cache) for p in primes]
-        workers = _pool_size(args.workers, len(jobs))
-        if workers > 1:
-            # imported here: every other command would pay for multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_table_row, jobs))
-        else:
-            results = [_table_row(job) for job in jobs]
-
+        # every row first: a row that raises writes no CSV
+        results = [_table_row(template, p, cache) for p in primes]
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["prime", "group", "hmg", "coc_order", "sk1",
                          "theorem_4_1_applies"])
@@ -651,16 +645,6 @@ def cmd_table(args) -> int:
 
 
 # -- parser -----------------------------------------------------------------
-
-
-def _worker_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1 worker, got {n}")
-    return n
 
 
 @functools.cache
@@ -739,12 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--primes", required=True, help="list 3,5,7 or range 3..31")
     p.add_argument("--out", required=True, help="output path, - for stdout")
-    p.add_argument(
-        "--workers",
-        type=_worker_count,
-        help="worker processes, at least 1 (default and upper limit: one per "
-        "row, at most one per CPU)",
-    )
 
     return parser
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, document shapes, byte determinism,
 the result cache, and CSV table generation."""
 
+import hashlib
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from math import prod
 from pathlib import Path
 
@@ -18,7 +20,13 @@ import homok.groups
 import homok.snf
 from homok import cli, verify
 from homok.bracket import graded_presentation
-from homok.cli import ResultCache, _family_factors, _parse_primes, _pool_size, main
+from homok.cli import (
+    ResultCache,
+    _family_factors,
+    _family_template,
+    _parse_primes,
+    main,
+)
 from homok.functions import from_generator_values
 from homok.groups import Group, element_order
 
@@ -480,7 +488,7 @@ class TestDeterminism:
                 [
                     sys.executable, "-m", "homok", "table",
                     "--family", "p^2", "--primes", "3,5,7",
-                    "--out", str(path), "--workers", "2",
+                    "--out", str(path),
                 ],
                 capture_output=True,
                 check=True,
@@ -621,7 +629,12 @@ class TestFrontEnd:
 
     def test_bad_flag_exits_2_after_the_parser_was_built(self, capsys):
         cli.build_parser()
-        for argv in (["sk1", "--group", "3", "--bogus"], ["nosuch"], ["gd", "--d", "x"]):
+        for argv in (
+            ["sk1", "--group", "3", "--bogus"],
+            ["nosuch"],
+            ["gd", "--d", "x"],
+            ["table", "--family", "p", "--primes", "3", "--out", "-", "--workers", "2"],
+        ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -940,7 +953,7 @@ class TestTable:
         out = tmp_path / "t.csv"
         code, _, _ = run_cli(
             ["table", "--family", "p^2", "--primes", "3,5,7",
-             "--out", str(out), "--workers", "1"],
+             "--out", str(out)],
             capsys,
         )
         assert code == 0
@@ -953,7 +966,7 @@ class TestTable:
         out = tmp_path / "t.csv"
         code, _, _ = run_cli(
             ["table", "--family", "p", "--primes", "2,3",
-             "--out", str(out), "--workers", "1"],
+             "--out", str(out)],
             capsys,
         )
         assert code == 0
@@ -965,7 +978,7 @@ class TestTable:
         out = tmp_path / "t.csv"
         code, _, err = run_cli(
             ["table", "--family", "p**7", "--primes", "3,7",
-             "--out", str(out), "--workers", "1"],
+             "--out", str(out)],
             capsys,
         )
         assert code == 0
@@ -973,27 +986,6 @@ class TestTable:
         assert len(lines) == 2  # header + p=3 (2187); 7^7 is over the cap
         assert lines[1].startswith("3,2187,")
         assert "skipping p=7" in err
-
-    def test_pool_size_is_clamped(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert _pool_size(None, 10) == 4
-        assert _pool_size(None, 3) == 3
-        assert _pool_size(2, 10) == 2
-        assert _pool_size(1000, 10) == 4
-        assert _pool_size(1000, 2) == 2
-        assert _pool_size(8, 0) == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _pool_size(None, 10) == 1
-
-    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
-    def test_workers_below_one_rejected(self, workers, tmp_path, capsys):
-        out = tmp_path / "t.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--family", "p", "--primes", "3",
-                  "--out", str(out), "--workers", workers])
-        assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_unopenable_out_fails_before_any_row(self, tmp_path, capsys, monkeypatch):
         def refuse(group):
@@ -1008,13 +1000,53 @@ class TestTable:
         assert err.count("\n") == 1 and err.startswith("error: cannot open --out")
 
     def test_family_grammar(self):
-        assert _family_factors("p", 5) == [5]
-        assert _family_factors("p^3", 3) == [3, 3, 3]
-        assert _family_factors("p**2,p**2", 3) == [9, 9]
-        assert _family_factors("p^2,p^2", 5) == [25, 25]
-        assert _family_factors("p,9", 5) == [5, 9]
+        def factors(family, p):
+            return _family_factors(_family_template(family), p)
+
+        assert factors("p", 5) == [5]
+        assert factors("p^3", 3) == [3, 3, 3]
+        assert factors("p**2,p**2", 3) == [9, 9]
+        assert factors("p^2,p^2", 5) == [25, 25]
+        assert factors("p,9", 5) == [5, 9]
         with pytest.raises(Exception, match="family term"):
-            _family_factors("p+1", 3)
+            _family_template("p+1")
+
+    # sha256 of the CSV over the primes 2..13, one per family
+    CSV_SHA256 = {
+        "p^3": "d61e5f7485b3f6edc56976f0dd349eae5eda1099cea059036dc0d029faf36672",
+        "p,p^2": "71ab21b7ac3395f75647f692f4a0bb2a92ea26cd1a3ecbb36f7123de291979d5",
+        "p^2,p^2": "672e15f0aa76f1644981c0392aca916ef00bb5b578e225bdd3909ae917de8347",
+        "p,p,p^2": "ee80e7a40d9463ae0209b000889e628be4c1021b0ee374baca263d5ad1121059",
+        "p^4": "2ce9e01c6ff3f4b71ef5c19077b6ac2aa170d8b114d41d9b028fa14cd5fc4d82",
+        "p,9": "6690fa06d859471d9c5463ce8e6508234f9b6cf89d6a17891524bd14278ddda2",
+        "p**7": "f93018c33bca2100da19729dd41a0b0e433d5a88e0d9730559c211c7ce2946ee",
+    }
+
+    @pytest.mark.parametrize("family", sorted(CSV_SHA256))
+    def test_csv_is_pinned(self, family, capsys, monkeypatch):
+        monkeypatch.delenv("HOMOK_CACHE_DIR", raising=False)
+        code, out, _ = run_cli(
+            ["table", "--family", family, "--primes", "2..13", "--out", "-"], capsys
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CSV_SHA256[family]
+
+    @pytest.mark.parametrize("family", ["p**1000000", "p**10000000", "p^10000000"])
+    def test_over_cap_rows_skip_in_bounded_time(self, family):
+        """A row is refused from its exponents: no power of p, no product
+        and no digits of the order are built, so the skip is quick and short."""
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "homok", "table", "--family", family,
+             "--primes", "3,5", "--out", "-"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 0
+        assert proc.stdout == "prime,group,hmg,coc_order,sk1,theorem_4_1_applies\n"
+        lines = proc.stderr.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["skipping p=3", "skipping p=5"]
+        assert all(len(line) < 200 for line in lines)
 
     def test_primes_grammar(self):
         assert _parse_primes("3,5,7") == [3, 5, 7]
