@@ -582,6 +582,14 @@ def _family_factors(template, p: int) -> list[int]:
 def _parse_primes(text: str) -> list[int]:
     text = text.strip()
     span = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", text)
+    # refused before is_prime, which trial-divides every candidate
+    for bound in span.groups() if span else text.split(","):
+        bound = bound.strip()
+        if bound.isascii() and bound.isdigit() and int(bound) > DEFAULT_CAP:
+            raise GroupSpecError(
+                f"--primes {text!r}: {bound} is above the cap of {DEFAULT_CAP};"
+                " a family row with a p term there could only be skipped"
+            )
     if span:
         lo, hi = int(span.group(1)), int(span.group(2))
         primes = [p for p in range(lo, hi + 1) if is_prime(p)]

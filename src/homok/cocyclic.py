@@ -12,6 +12,7 @@ ring.
 
 from __future__ import annotations
 
+import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -158,8 +159,9 @@ def _monomial_rows(group: Group) -> IntMatrix:
 def lattice_chains(group: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(quotient, coc)`` of the whole group's lattice in ``+ Z/|C|``, from
     the general rows, or the monomial rows for a prime exponent and rank at
-    least 3: ``sk1_sylow_check``'s reference, and the computed side of
-    ``ados`` and ``ados-odd``."""
+    least 3: the reference of ``thm216`` for every route of ``sk1_route``
+    but the lattice, and the computed side of ``ados`` and ``ados-odd``.
+    It picks its rows by itself, so a wrong route cannot hide here."""
     moduli = [rec.subgroup_order for rec in cyclic_subgroups(group)]
     # on rank 2 the monomials save at most half the rows and cost about p^3
     if is_prime(group.exponent) and len(group.invariant_factors) >= 3:
@@ -197,28 +199,41 @@ class SK1Report:
         }
 
 
-def reads_own_lattice(group: Group) -> bool:
-    """Whether ``sk1_invariants`` takes ``group``'s chains from
-    ``lattice_chains``: only for a p-group that no rule of its docstring
-    covers, of rank >= 3 and non-prime exponent, or of rank 2 with no
-    factor of order p, and for (p, p). ``thm216`` checks every other group."""
+class Route(enum.Enum):
+    """How ``sk1_invariants`` reads a group's coc and quotient chains."""
+
+    SYLOW = "sylow"  # assembled from the Sylow parts (thm216)
+    ELEMENTARY = "elementary"  # the ADOS count on (Z/p)^k, k >= 3
+    WHOLE = "whole"  # the lattice is the whole group
+    LATTICE = "lattice"  # the group's own lattice, ``lattice_chains``
+
+
+def sk1_route(group: Group) -> Route:
+    """The one place that picks ``group``'s route: two or more primes
+    assemble, and a p-group takes a rule of ``sk1_invariants`` where one
+    covers it and reads its own lattice otherwise. ``thm216`` checks every
+    route but the lattice against ``lattice_chains``."""
     inv = group.invariant_factors
     if len(factorize(group.order)) > 1:
-        return False
+        return Route.SYLOW
     if len(inv) >= 3:
-        return not is_prime(group.exponent)
-    # the whole-group rule holds on (p, p) too, but perfbench's tracer test
-    # needs `sk1 --group 7,7` to reach the lattice (ROADMAP item 1(a))
-    return len(inv) == 2 and (not is_prime(inv[0]) or inv[0] == inv[1])
+        return Route.ELEMENTARY if is_prime(group.exponent) else Route.LATTICE
+    if len(inv) == 2:
+        # the whole-group rule holds on (p, p) too, but perfbench's tracer
+        # test needs `sk1 --group 7,7` to reach the lattice (ROADMAP item 1(a1))
+        whole = is_prime(inv[0]) and inv[0] != inv[1]
+        return Route.WHOLE if whole else Route.LATTICE
+    return Route.WHOLE
 
 
 @lru_cache(maxsize=None)
 def sk1_invariants(group: Group) -> SK1Report:
     """The quotient of scalar homogeneous functions by the cocyclic lattice.
 
-    An order with two or more primes assembles the coc and quotient chains
-    from its Sylow parts (thm216). A p-group reads them off its own lattice
-    unless one of two rules decides them (``reads_own_lattice``):
+    ``sk1_route`` picks one route per group. An order with two or more
+    primes assembles the coc and quotient chains from its Sylow parts
+    (thm216). A p-group reads them off its own lattice unless one of two
+    rules decides them:
 
     - On (Z/p)^k, k >= 3, coc is (Z/p)^c with c = C(p+k-1, p): the
       degree-p monomials span it over F_p (``_monomial_rows``), and the c
@@ -227,7 +242,7 @@ def sk1_invariants(group: Group) -> SK1Report:
     - On C_(p^b) and C_p x C_(p^b), b >= 2, the lattice L is the whole group
       A of homogeneous functions, so coc is hmg and the quotient is trivial
       (ADOS, Invent. Math. 87, 1987). The proof below covers b = 1 as well;
-      ``reads_own_lattice`` says why (p, p) still reads its lattice.
+      ``sk1_route`` says why (p, p) still reads its lattice.
       Pair A = + over C of C^ with + over C of C: then
       L^perp = {(c_C) : c_C in C, sum over C in K of c_C = 0 for each
       cocyclic K}, and L = A iff L^perp = 0. At rank <= 2, G/K is cyclic
@@ -245,20 +260,21 @@ def sk1_invariants(group: Group) -> SK1Report:
     groups.
     """
     parts = sylow_decompose(group)
-    p, k = group.exponent, len(group.invariant_factors)
     hmg = hom_invariants(graded_presentation(group, 1), Target.QZ)
-    if len(parts) > 1:
-        quotient = sylow_assembly(
-            parts, lambda g: sk1_invariants(g).quotient_invariants
-        )
-        coc = sylow_assembly(parts, lambda g: sk1_invariants(g).coc_invariants)
-    elif reads_own_lattice(group):
-        quotient, coc = lattice_chains(group)
-    elif k >= 3:
-        c, q = comb(p + k - 1, p), (p**k - 1) // (p - 1)
-        quotient, coc = (p,) * (q - c), (p,) * c
-    else:
-        quotient, coc = (), hmg
+    match sk1_route(group):
+        case Route.SYLOW:
+            quotient = sylow_assembly(
+                parts, lambda g: sk1_invariants(g).quotient_invariants
+            )
+            coc = sylow_assembly(parts, lambda g: sk1_invariants(g).coc_invariants)
+        case Route.ELEMENTARY:
+            p, k = group.exponent, len(group.invariant_factors)
+            c, q = comb(p + k - 1, p), (p**k - 1) // (p - 1)
+            quotient, coc = (p,) * (q - c), (p,) * c
+        case Route.WHOLE:
+            quotient, coc = (), hmg
+        case Route.LATTICE:
+            quotient, coc = lattice_chains(group)
     # one power per distinct factor: (2)^16 has 65 535 in hmg
     hmg_order, coc_order, quotient_order = (
         prod(map(pow, counts, counts.values()))
@@ -276,33 +292,4 @@ def sk1_invariants(group: Group) -> SK1Report:
         quotient_invariants=quotient,
         theorem_applies=group.order % 2 == 1,
         sylow_parts=tuple(parts),
-    )
-
-
-@dataclass(frozen=True)
-class SylowComparison:
-    """The quotient of the whole group's lattice (``direct``) vs that of
-    ``sk1_invariants``, assembled from the Sylow parts on a mixed order or
-    in closed form; ``equal`` also requires their coc chains to agree."""
-
-    group: Group
-    direct: tuple[int, ...]
-    assembled: tuple[int, ...]
-    equal: bool
-    per_prime: tuple[tuple[int, tuple[int, ...], int], ...]
-
-
-def sk1_sylow_check(group: Group) -> SylowComparison:
-    direct, coc = lattice_chains(group)
-    report = sk1_invariants(group)
-    return SylowComparison(
-        group=group,
-        direct=direct,
-        assembled=report.quotient_invariants,
-        equal=(direct, coc) == (report.quotient_invariants, report.coc_invariants),
-        per_prime=tuple(
-            (part.prime, sk1_invariants(part.p_part).quotient_invariants,
-             part.q_complement)
-            for part in report.sylow_parts
-        ),
     )

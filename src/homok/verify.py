@@ -18,7 +18,7 @@ from math import comb, factorial, gcd, lcm, prod
 from .arith import divisors, factorize, is_prime, vp
 from .bracket import graded_presentation, hom_invariants, \
     sylow_decomposition_invariants
-from .cocyclic import lattice_chains, reads_own_lattice, sk1_sylow_check
+from .cocyclic import Route, lattice_chains, sk1_invariants, sk1_route
 from .functions import FunctionTable, from_generator_values
 from .groups import (
     Group,
@@ -239,15 +239,18 @@ def degree_one_duality():
 
 def cocyclic_assembly():
     """The quotient and coc chains that ``sk1_invariants`` assembles from
-    Sylow parts (mixed orders) or takes by a rule (``reads_own_lattice``)
-    equal those of the whole group's lattice for every such |G| <= 200."""
+    Sylow parts or takes by a rule (every route of ``sk1_route`` but
+    ``LATTICE``) equal those of the whole group's lattice for every such
+    |G| <= 200."""
     for group in all_abelian_groups(200):
-        if reads_own_lattice(group):
+        if sk1_route(group) is Route.LATTICE:
             continue
-        cmp = sk1_sylow_check(group)
-        yield cmp.equal, (
-            f"G = {group.spec}: direct {cmp.direct} vs assembled {cmp.assembled}"
-            f" or the coc chains differ (parts: {cmp.per_prime})"
+        report = sk1_invariants(group)
+        got = (report.quotient_invariants, report.coc_invariants)
+        direct = lattice_chains(group)
+        yield got == direct, (
+            f"G = {group.spec}: (quotient, coc) {got} by sk1_invariants vs"
+            f" {direct} by the lattice"
         )
 
 

@@ -18,7 +18,7 @@ from math import comb, gcd, prod
 
 from homok.arith import divisors, is_prime
 from homok.cli import main as cli_main
-from homok.cocyclic import lattice_chains, sk1_invariants, sk1_sylow_check
+from homok.cocyclic import lattice_chains, sk1_invariants
 from homok.groups import Group, all_abelian_groups
 from homok.oracles import span_in_ambient
 from homok.orders import higher_order, higher_order_oracle
@@ -212,10 +212,19 @@ def test_criterion_08_forced_quotients():
 
 def test_criterion_09_quotient_sylow_shape():
     t0 = time.monotonic()
-    ok = all(sk1_sylow_check(g).equal for g in all_abelian_groups(200))
-    mixed = sk1_sylow_check(Group((3, 3, 3, 5)))
-    ok = ok and mixed.equal and mixed.direct == (3,) * 6
-    ok = ok and mixed.per_prime == ((3, (3, 3, 3), 2), (5, (), 14))
+
+    def chains(group):
+        report = sk1_invariants(group)
+        return report.quotient_invariants, report.coc_invariants
+
+    ok = all(chains(g) == lattice_chains(g) for g in all_abelian_groups(200))
+    mixed = sk1_invariants(Group((3, 3, 3, 5)))
+    ok = ok and mixed.quotient_invariants == (3,) * 6
+    ok = ok and [
+        (part.prime, sk1_invariants(part.p_part).quotient_invariants,
+         mixed.q_counts[part.prime])
+        for part in mixed.sylow_parts
+    ] == [(3, (3, 3, 3), 2), (5, (), 14)]
     elapsed = time.monotonic() - t0
     _report(
         9,

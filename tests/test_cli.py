@@ -1048,6 +1048,24 @@ class TestTable:
         assert [line.split(":")[0] for line in lines] == ["skipping p=3", "skipping p=5"]
         assert all(len(line) < 200 for line in lines)
 
+    @pytest.mark.parametrize(
+        "family, primes",
+        [("p**20", "2..100000000"), ("p", "1000000000000000003")],
+    )
+    def test_primes_over_the_cap_exit_2_in_bounded_time(self, family, primes):
+        """A span or a token above the cap is refused before any candidate
+        is trial-divided: every row of it could only be skipped."""
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "homok", "table", "--family", family,
+             "--primes", primes, "--out", "-"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: --primes {primes!r}: ")
+        assert "above the cap of 100000" in proc.stderr
+
     def test_primes_grammar(self):
         assert _parse_primes("3,5,7") == [3, 5, 7]
         assert _parse_primes("3..31") == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]

@@ -1,23 +1,28 @@
 """Cocyclic subgroups, the generator lattice, and the quotient invariants."""
 
 import itertools
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import replace
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
 import homok.cocyclic
 from homok import snf
 from homok.cocyclic import (
+    Route,
     _coc_basis_rows,
     _monomial_rows,
     cocyclic_subgroups,
     lattice_chains,
     sk1_invariants,
-    sk1_sylow_check,
+    sk1_route,
 )
 from homok.groups import (
+    DEFAULT_CAP,
     Group,
+    _partitions,
     all_abelian_groups,
     cyclic_subgroup_count,
     cyclic_subgroups,
@@ -488,18 +493,29 @@ class TestQuotientInvariants:
         assert doc["q_counts"] == {"3": 2, "5": 8}
 
 
+def sk1_chains(group: Group):
+    report = sk1_invariants(group)
+    return report.quotient_invariants, report.coc_invariants
+
+
 class TestSylowComparison:
+    """``sk1_invariants`` against the whole group's lattice, ``lattice_chains``."""
+
     def test_mixed_prime_worked_example(self):
-        cmp = sk1_sylow_check(Group((3, 3, 3, 5)))
-        assert cmp.equal
-        assert cmp.direct == cmp.assembled == (3,) * 6
-        parts = {p: (inv, q) for p, inv, q in cmp.per_prime}
-        assert parts[3] == ((3, 3, 3), 2)
-        assert parts[5] == ((), 14)
+        group = Group((3, 3, 3, 5))
+        report = sk1_invariants(group)
+        assert sk1_chains(group) == lattice_chains(group)
+        assert report.quotient_invariants == (3,) * 6
+        parts = {
+            part.prime: sk1_invariants(part.p_part).quotient_invariants
+            for part in report.sylow_parts
+        }
+        assert parts == {3: (3, 3, 3), 5: ()}
+        assert report.q_counts == {3: 2, 5: 14}
 
     def test_assembly_matches_direct_on_a_sample(self):
         for spec in [(15,), (45,), (3, 3), (2, 2, 3), (12,), (27, 5), (3, 3, 5)]:
-            assert sk1_sylow_check(Group(spec)).equal
+            assert sk1_chains(Group(spec)) == lattice_chains(Group(spec))
 
     def test_a_wrong_lattice_assembly_is_caught(self, monkeypatch):
         # the right order as one cyclic summand: |hmg| = |coc| * |quotient|
@@ -513,8 +529,46 @@ class TestSylowComparison:
         monkeypatch.setattr(homok.cocyclic, "sylow_assembly", one_summand)
         sk1_invariants.cache_clear()
         try:
-            cmp = sk1_sylow_check(Group((3, 3, 5)))
+            got = sk1_chains(Group((3, 3, 5)))
         finally:
             sk1_invariants.cache_clear()
-        assert cmp.direct == cmp.assembled == ()
-        assert not cmp.equal
+        direct = lattice_chains(Group((3, 3, 5)))
+        assert got[0] == direct[0] == ()
+        assert got != direct
+
+
+def p_groups_under_the_cap():
+    """Every nontrivial abelian p-group of order <= ``DEFAULT_CAP``."""
+    sieve = bytearray([1]) * (DEFAULT_CAP + 1)
+    sieve[:2] = b"\0\0"
+    for n in range(2, isqrt(DEFAULT_CAP) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytes(len(range(n * n, DEFAULT_CAP + 1, n)))
+    for p in itertools.compress(range(DEFAULT_CAP + 1), sieve):
+        k = 1
+        while p**k <= DEFAULT_CAP:
+            for part in _partitions(k):
+                yield Group(tuple(p**e for e in sorted(part)))
+            k += 1
+
+
+class TestRoute:
+    def test_census_under_the_cap(self):
+        # a group that moves to a rule, or a rule that stops firing, changes
+        # these counts; q bands as in ROADMAP's lattice census, untimed
+        routes, bands = Counter(), Counter()
+        for group in p_groups_under_the_cap():
+            route = sk1_route(group)
+            routes[route, min(len(group.invariant_factors), 3)] += 1
+            if route is Route.LATTICE:
+                q = cyclic_subgroup_count(group)
+                bands[bisect_left((212, 635, 1121, 5000), q)] += 1
+        assert routes == {
+            (Route.WHOLE, 1): 9700,
+            (Route.WHOLE, 2): 43,
+            (Route.LATTICE, 2): 141,
+            (Route.LATTICE, 3): 942,
+            (Route.ELEMENTARY, 3): 43,
+        }
+        assert sum(routes.values()) == 10_869
+        assert bands == {0: 257, 1: 200, 2: 115, 3: 310, 4: 201}

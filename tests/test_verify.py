@@ -119,6 +119,27 @@ def test_a_wrong_whole_group_rule_fails_thm216(monkeypatch):
     assert result.failures[0].startswith("G = 4:")
 
 
+def test_a_wrong_route_fails_thm216(monkeypatch):
+    # (4,4) sent to the whole-group rule: sk1_invariants answers by the rule
+    # and thm216 checks it, since the route it reads is no longer the lattice
+    real = homok.cocyclic.sk1_route
+
+    def wrong(group):
+        if group.invariant_factors == (4, 4):
+            return homok.cocyclic.Route.WHOLE
+        return real(group)
+
+    monkeypatch.setattr(homok.cocyclic, "sk1_route", wrong)
+    monkeypatch.setattr(verify, "sk1_route", wrong)
+    homok.cocyclic.sk1_invariants.cache_clear()
+    try:
+        result = verify.run_suite("thm216", fail_fast=True)
+    finally:
+        homok.cocyclic.sk1_invariants.cache_clear()
+    assert not result.passed
+    assert result.failures[0].startswith("G = 4,4:")
+
+
 def test_a_wrong_closed_form_fails_thm216(monkeypatch):
     # one factor moved from the quotient to the lattice: the order check of
     # sk1_invariants still holds, only the comparison with the rank tells
