@@ -8,6 +8,10 @@ Exit codes: 0 on success, 1 on computation failures (cap exceeded, a
 refused transfer job, a failing suite, an oracle degree over its budget
 of 512 terms, a broken internal check), 2 on usage errors (bad flags,
 malformed group specs or job files).
+
+A handler returns 0 or 1, or raises: it never writes ``error: ...``
+itself. ``main`` is the one place that turns an exception into that line
+on stderr and picks its exit code; a usage error is a ``GroupSpecError``.
 """
 
 from __future__ import annotations
@@ -314,7 +318,7 @@ def cmd_hmg(args) -> int:
     group = parse_group_spec(args.group)
     target, target_name = _parse_target(args.target)
     if args.d == 0 and target is not Target.Z:
-        raise ValueError(
+        raise GroupSpecError(
             "degree-0 homogeneous functions take values in Z; pass --target Z"
         )
 
@@ -419,11 +423,9 @@ def cmd_transfer(args) -> int:
         with open(args.job, encoding="utf-8") as fh:
             job = json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read job file: {exc}", file=sys.stderr)
-        return 2
+        raise GroupSpecError(f"cannot read job file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        print(f"error: job file is not JSON: {exc}", file=sys.stderr)
-        return 2
+        raise GroupSpecError(f"job file is not JSON: {exc}") from exc
     try:
         degree = _job_int(job["d"])
         source = parse_group_spec(str(job["source"]))
@@ -435,21 +437,17 @@ def cmd_transfer(args) -> int:
                 raise TypeError(f"f_coords {f_coords!r} is not a list")
             f_coords = [_job_int(c) for c in f_coords]
     except (KeyError, TypeError, ValueError) as exc:
-        print(
-            'error: job needs "d" (an integer), "source", "target" and '
+        raise GroupSpecError(
+            'job needs "d" (an integer), "source", "target" and '
             '"t_values" (one list of integers per source element), and may '
-            f'have "f_coords" (a list of integers): {exc}',
-            file=sys.stderr,
-        )
-        return 2
+            f'have "f_coords" (a list of integers): {exc}'
+        ) from exc
     summands = cyclic_subgroup_count(source)
     if f_coords is not None and len(f_coords) != summands:
-        print(
-            f"error: f_coords needs {summands} entries, one per source "
-            f"summand, got {len(f_coords)}",
-            file=sys.stderr,
+        raise GroupSpecError(
+            f"f_coords needs {summands} entries, one per source summand, "
+            f"got {len(f_coords)}"
         )
-        return 2
 
     table = FunctionTable(source, degree, values, target)
     mapping = induced_graded_map(table)
@@ -481,17 +479,9 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # checked here, not by argparse choices: the parser is built once, and
-    # suites may be registered after that
-    suites = available_suites()
-    if args.suite != "all" and args.suite not in suites:
-        print(
-            f"error: unknown suite {args.suite!r}; available: "
-            f"{', '.join(suites)}, all",
-            file=sys.stderr,
-        )
-        return 2
-    names = suites if args.suite == "all" else (args.suite,)
+    # a name is checked by run_suite, not by argparse choices: the parser is
+    # built once, and suites may be registered after that
+    names = available_suites() if args.suite == "all" else (args.suite,)
     given = {"kmax": args.kmax, "dmax": args.dmax, "seed": args.seed}
     reports = []
     code = 0
@@ -501,25 +491,22 @@ def cmd_verify(args) -> int:
         params = given
         if args.suite == "all":
             params = {k: v for k, v in given.items() if k in suite_parameters(name)}
-        result = run_suite(name, fail_fast=True, **params)
+        result = run_suite(name, **params)
         if result.checks == 0:
             bounds = " ".join(
                 f"--{flag} {params[flag]}"
                 for flag in ("kmax", "dmax")
                 if params.get(flag) is not None
             )
-            print(
-                f"error: suite {name} runs no checks with "
-                f"{bounds or 'its default bounds'}",
-                file=sys.stderr,
+            raise GroupSpecError(
+                f"suite {name} runs no checks with {bounds or 'its default bounds'}"
             )
-            return 2
         reports.append(
             {
                 "suite": name,
                 "checks": result.checks,
                 "passed": result.passed,
-                "counterexample": result.failures[0] if result.failures else None,
+                "counterexample": result.counterexample,
             }
         )
         if not args.json:
@@ -527,7 +514,7 @@ def cmd_verify(args) -> int:
                 print(f"suite {name}: {result.checks} checks passed")
             else:
                 print(f"suite {name}: FAILED at check {result.checks}")
-                print(f"counterexample: {result.failures[0]}")
+                print(f"counterexample: {result.counterexample}")
         if not result.passed:
             code = 1
             break
@@ -632,8 +619,7 @@ def cmd_table(args) -> int:
     try:
         out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot open --out {args.out!r}: {exc}", file=sys.stderr)
-        return 2
+        raise GroupSpecError(f"cannot open --out {args.out!r}: {exc}") from exc
     try:
         cache = ResultCache.from_args(args)
         # every row first: a row that raises writes no CSV

@@ -34,7 +34,7 @@ GroupElement = tuple[int, ...]
 
 
 class GroupSpecError(ValueError):
-    """Malformed group specification string."""
+    """Malformed or unusable input from the command line or a job file."""
 
 
 class CapExceededError(RuntimeError):

@@ -15,14 +15,6 @@ from math import gcd, lcm
 from .arith import divisors
 from .groups import Group, element_order
 
-__all__ = [
-    "count_homogeneous_tables",
-    "count_homogeneous_tables_product",
-    "span_in_ambient",
-    "order_profile",
-    "invariants_match_profile",
-]
-
 
 def _constraints(group: Group, degree: int, modulus: int):
     """All value constraints forced by homogeneity, grouped by the larger

@@ -14,13 +14,6 @@ from math import gcd
 
 from .arith import is_prime
 
-__all__ = [
-    "OracleStabilizationError",
-    "higher_order",
-    "higher_order_oracle",
-    "vp_factorial",
-]
-
 
 # the largest |d| the oracle folds; above it the fold is refused up front
 ORACLE_MAX_TERMS = 512

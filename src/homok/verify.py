@@ -2,8 +2,7 @@
 fixed grid and reports counterexamples instead of raising.
 
 Every suite is a generator of ``(ok, detail)`` pairs; the runner counts
-checks and collects failures, optionally stopping at the first one (the
-command-line front end does, and prints it).
+checks and stops at the first failure, whose detail is the counterexample.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 
@@ -42,15 +41,14 @@ MAX_K = 60
 MAX_D = 24
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    checks: int
+    counterexample: str | None = None
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.counterexample is None
 
 
 def order_identities(kmax: int = MAX_K, dmax: int = MAX_D):
@@ -496,20 +494,18 @@ def suite_parameters(name: str) -> frozenset[str]:
     return frozenset(inspect.signature(gen).parameters)
 
 
-def run_suite(name: str, fail_fast: bool = False, **params) -> SuiteResult:
-    """Run one suite. Extra keyword parameters (kmax, dmax, seed, ...) are
-    forwarded when the suite takes them; one it does not take is rejected
-    before any check runs."""
+def run_suite(name: str, **params) -> SuiteResult:
+    """Run one suite up to its first failing check. Extra keyword
+    parameters (kmax, dmax, seed, ...) are forwarded when the suite takes
+    them; one it does not take is rejected before any check runs."""
     accepted = suite_parameters(name)
     kwargs = {k: v for k, v in params.items() if v is not None}
     for k in kwargs:
         if k not in accepted:
             raise ValueError(f"suite {name!r} does not take a {k!r} parameter")
-    result = SuiteResult(name)
+    checks = 0
     for ok, detail in SUITES[name](**kwargs):
-        result.checks += 1
+        checks += 1
         if not ok:
-            result.failures.append(detail)
-            if fail_fast:
-                break
-    return result
+            return SuiteResult(checks, detail)
+    return SuiteResult(checks)

@@ -240,6 +240,63 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert "image size" in proc.stderr and "please report" in proc.stderr
 
+    # argv and exact stderr of each usage refusal, given the directory of its
+    # job files; main alone prints these lines
+    REFUSALS = {
+        "job-missing": lambda tmp: (
+            ["transfer", "--job", f"{tmp}/missing.json"],
+            "error: cannot read job file: [Errno 2] No such file or directory: "
+            f"'{tmp}/missing.json'\n",
+        ),
+        "job-not-json": lambda tmp: (
+            ["transfer", "--job", f"{tmp}/bad.json"],
+            "error: job file is not JSON: Expecting value: line 1 column 1 (char 0)\n",
+        ),
+        "job-without-d": lambda tmp: (
+            ["transfer", "--job", f"{tmp}/nod.json"],
+            'error: job needs "d" (an integer), "source", "target" and "t_values" '
+            "(one list of integers per source element), and may have "
+            "\"f_coords\" (a list of integers): 'd'\n",
+        ),
+        "job-f-coords-short": lambda tmp: (
+            ["transfer", "--job", f"{tmp}/short.json"],
+            "error: f_coords needs 2 entries, one per source summand, got 1\n",
+        ),
+        "verify-unknown-suite": lambda tmp: (
+            ["verify", "--suite", "nosuch"],
+            "error: unknown suite 'nosuch'; available: lemma211, lemma212, "
+            "prop29, thm213, cor214, thm216, prop32, ados, ados-odd, "
+            "presentations\n",
+        ),
+        "verify-bound-not-taken": lambda tmp: (
+            ["verify", "--suite", "lemma212", "--kmax", "5"],
+            "error: suite 'lemma212' does not take a 'kmax' parameter\n",
+        ),
+        "verify-no-checks": lambda tmp: (
+            ["verify", "--suite", "lemma211", "--kmax", "0"],
+            "error: suite lemma211 runs no checks with --kmax 0\n",
+        ),
+        "table-out-unopenable": lambda tmp: (
+            ["table", "--family", "p", "--primes", "3", "--out", f"{tmp}/nodir/t.csv"],
+            f"error: cannot open --out '{tmp}/nodir/t.csv': [Errno 2] No such "
+            f"file or directory: '{tmp}/nodir/t.csv'\n",
+        ),
+        "hmg-degree-0-not-z": lambda tmp: (
+            ["hmg", "--group", "3", "--d", "0"],
+            "error: degree-0 homogeneous functions take values in Z; "
+            "pass --target Z\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_usage_refusal_is_pinned(self, case, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("not json")
+        job = {"source": "3", "target": "9", "t_values": [[0], [3], [6]]}
+        (tmp_path / "nod.json").write_text(json.dumps(job))
+        (tmp_path / "short.json").write_text(json.dumps({**job, "d": 1, "f_coords": [1]}))
+        argv, err = case(tmp_path)
+        assert run_cli(argv, capsys) == (2, "", err)
+
 
 class TestHugeNumbers:
     # the degree-60 bracket of (Z/2)^12 has order 2^16380, 4931 digits:

@@ -1,5 +1,6 @@
-"""Runner behavior for the verification suites, plus the cheap suites run
-in full (the expensive ones are exercised by the acceptance module)."""
+"""Runner behavior for the verification suites, faults that each suite
+must catch, and the cheap suites run in full (the expensive ones are
+exercised by the acceptance module)."""
 
 from math import prod
 
@@ -38,14 +39,9 @@ def test_fail_fast_stops_at_first_failure(monkeypatch):
         yield False, "second bad"
 
     monkeypatch.setitem(verify.SUITES, "synthetic", synthetic)
-    stopped = verify.run_suite("synthetic", fail_fast=True)
-    assert stopped.checks == 2
-    assert stopped.failures == ["first bad"]
+    stopped = verify.run_suite("synthetic")
+    assert stopped == verify.SuiteResult(2, "first bad")
     assert not stopped.passed
-
-    full = verify.run_suite("synthetic")
-    assert full.checks == 3
-    assert full.failures == ["first bad", "second bad"]
 
 
 def test_factorial_valuation_suite():
@@ -84,9 +80,9 @@ def test_ados_reads_the_f_p_rank(monkeypatch):
     # quotient factor on (3)^3
     real = homok.cocyclic._monomial_rows
     monkeypatch.setattr(homok.cocyclic, "_monomial_rows", lambda g: real(g)[1:])
-    result = verify.run_suite("ados", fail_fast=True)
+    result = verify.run_suite("ados")
     assert not result.passed
-    assert result.failures[0].startswith("G = (3)^3:")
+    assert result.counterexample.startswith("G = (3)^3:")
 
 
 def test_thm216_counts_only_what_sk1_does_not_read_off_the_lattice():
@@ -112,11 +108,11 @@ def test_a_wrong_whole_group_rule_fails_thm216(monkeypatch):
     )
     homok.cocyclic.sk1_invariants.cache_clear()
     try:
-        result = verify.run_suite("thm216", fail_fast=True)
+        result = verify.run_suite("thm216")
     finally:
         homok.cocyclic.sk1_invariants.cache_clear()
     assert not result.passed
-    assert result.failures[0].startswith("G = 4:")
+    assert result.counterexample.startswith("G = 4:")
 
 
 def test_a_wrong_route_fails_thm216(monkeypatch):
@@ -133,11 +129,11 @@ def test_a_wrong_route_fails_thm216(monkeypatch):
     monkeypatch.setattr(verify, "sk1_route", wrong)
     homok.cocyclic.sk1_invariants.cache_clear()
     try:
-        result = verify.run_suite("thm216", fail_fast=True)
+        result = verify.run_suite("thm216")
     finally:
         homok.cocyclic.sk1_invariants.cache_clear()
     assert not result.passed
-    assert result.failures[0].startswith("G = 4,4:")
+    assert result.counterexample.startswith("G = 4,4:")
 
 
 def test_a_wrong_closed_form_fails_thm216(monkeypatch):
@@ -147,11 +143,11 @@ def test_a_wrong_closed_form_fails_thm216(monkeypatch):
     monkeypatch.setattr(homok.cocyclic, "comb", lambda n, k: real(n, k) + 1)
     homok.cocyclic.sk1_invariants.cache_clear()
     try:
-        result = verify.run_suite("thm216", fail_fast=True)
+        result = verify.run_suite("thm216")
     finally:
         homok.cocyclic.sk1_invariants.cache_clear()
     assert not result.passed
-    assert result.failures[0].startswith("G = 2,2,2:")
+    assert result.counterexample.startswith("G = 2,2,2:")
 
 
 def test_ados_odd_reads_the_lattice(monkeypatch):
@@ -170,9 +166,9 @@ def test_ados_odd_reads_the_lattice(monkeypatch):
         return quotient, coc
 
     monkeypatch.setattr(homok.cocyclic, "lattice_invariants", one_more_factor)
-    result = verify.run_suite("ados-odd", fail_fast=True)
+    result = verify.run_suite("ados-odd")
     assert not result.passed
-    assert result.failures[0].startswith("G = 3,9:")
+    assert result.counterexample.startswith("G = 3,9:")
 
 
 def test_presentations_compare_each_mixed_presentation_own_lattice(monkeypatch):
@@ -188,6 +184,6 @@ def test_presentations_compare_each_mixed_presentation_own_lattice(monkeypatch):
         return real(group)
 
     monkeypatch.setattr(homok.cocyclic, "_coc_basis_rows", no_rows_off_canonical)
-    result = verify.run_suite("presentations", fail_fast=True)
+    result = verify.run_suite("presentations")
     assert not result.passed
-    assert "presented as" in result.failures[0]
+    assert "presented as" in result.counterexample
