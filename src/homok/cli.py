@@ -11,7 +11,11 @@ malformed group specs or job files).
 
 A handler returns 0 or 1, or raises: it never writes ``error: ...``
 itself. ``main`` is the one place that turns an exception into that line
-on stderr and picks its exit code; a usage error is a ``GroupSpecError``.
+on stderr and picks its exit code; a usage error is a ``GroupSpecError``,
+and any other ``ValueError`` is a bug, left to its traceback.
+
+A result cache problem only costs a miss: the write that needs the cache
+directory makes it, and a write that fails is skipped with one warning.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ import json
 import os
 import re
 import sys
-import tempfile
 from math import prod
 
-from . import __version__
+from . import __version__, verify
 from .arith import is_prime
 from .bracket import Target, graded_presentation, hom_invariants
 from .cocyclic import sk1_invariants
@@ -48,7 +51,6 @@ from .groups import (
 )
 from .orders import OracleStabilizationError, higher_order, higher_order_oracle
 from .transfer import TransferError, induced_graded_map, transfer_apply
-from .verify import available_suites, run_suite, suite_parameters
 
 
 # -- result cache -----------------------------------------------------------
@@ -61,16 +63,6 @@ CACHE_SCHEMA = 3
 # a temp file planted as a symlink is not written through, where the
 # platform can refuse one
 _TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 0)
-
-
-@functools.lru_cache(maxsize=None)
-def _probe(path: str) -> None:
-    """Create the cache directory and check that a file can be made in it,
-    once per absolute path and process. A probe that raises is not
-    remembered, so an unwritable directory warns on every call, and a
-    skipped write (``ResultCache.put``) forgets every probe."""
-    os.makedirs(path, exist_ok=True)
-    tempfile.NamedTemporaryFile(dir=path, prefix=".probe-").close()
 
 
 def _well_typed(value, kind: type) -> bool:
@@ -88,9 +80,9 @@ def _well_typed(value, kind: type) -> bool:
 class ResultCache:
     """Keyed JSON store under one directory; writes are atomic and reads
     reject entries from other tool versions and cache schemas. An entry of
-    the wrong shape or element types is a miss, with a warning. A write
-    that fails (say, the directory went away after its probe) is skipped,
-    and the next call probes its directory again."""
+    the wrong shape or element types is a miss, with a warning, and so is
+    a missing directory, silently. The write that needs the directory
+    makes it; a write that fails anyway is skipped, with one warning."""
 
     def __init__(self, root: str):
         self.root = root
@@ -98,18 +90,7 @@ class ResultCache:
     @staticmethod
     def from_args(args) -> "ResultCache | None":
         root = getattr(args, "cache", None) or os.environ.get("HOMOK_CACHE_DIR")
-        if not root:
-            return None
-        try:
-            _probe(os.path.abspath(root))
-        except OSError as exc:
-            print(
-                f"warning: cache directory {root!r} is not writable "
-                f"({exc}); caching disabled",
-                file=sys.stderr,
-            )
-            return None
-        return ResultCache(root)
+        return ResultCache(root) if root else None
 
     def _path(self, key) -> str:
         blob = json.dumps([CACHE_SCHEMA, key], sort_keys=True)
@@ -168,17 +149,25 @@ class ResultCache:
         # one temp name per process and thread: a thread has one put at a time
         tmp = f"{path}.{os.getpid()}.{_thread.get_ident()}.tmp"
         try:
-            with open(os.open(tmp, _TMP_FLAGS, 0o600), "wb") as fh:
+            try:
+                fd = os.open(tmp, _TMP_FLAGS, 0o600)
+            except FileNotFoundError:
+                # the first write, or the directory went away: make it
+                os.makedirs(self.root, exist_ok=True)
+                fd = os.open(tmp, _TMP_FLAGS, 0o600)
+            with open(fd, "wb") as fh:
                 fh.write(data)
             os.replace(tmp, path)
-        except OSError:
+        except OSError as exc:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-            # the directory may have gone away since its probe: probe again
-            # on the next call, which recreates it or warns
-            _probe.cache_clear()
+            print(
+                f"warning: cache directory {self.root!r} is not writable "
+                f"({exc}); caching disabled",
+                file=sys.stderr,
+            )
 
 
 def _cached(cache, kind: str, group: Group, params, fields, compute):
@@ -424,7 +413,7 @@ def cmd_transfer(args) -> int:
             job = json.load(fh)
     except OSError as exc:
         raise GroupSpecError(f"cannot read job file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise GroupSpecError(f"job file is not JSON: {exc}") from exc
     try:
         degree = _job_int(job["d"])
@@ -449,7 +438,10 @@ def cmd_transfer(args) -> int:
             f"got {len(f_coords)}"
         )
 
-    table = FunctionTable(source, degree, values, target)
+    try:
+        table = FunctionTable(source, degree, values, target)
+    except ValueError as exc:
+        raise GroupSpecError(str(exc)) from exc
     mapping = induced_graded_map(table)
     document = {
         "d": degree,
@@ -481,7 +473,7 @@ def cmd_transfer(args) -> int:
 def cmd_verify(args) -> int:
     # a name is checked by run_suite, not by argparse choices: the parser is
     # built once, and suites may be registered after that
-    names = available_suites() if args.suite == "all" else (args.suite,)
+    names = tuple(verify.SUITES) if args.suite == "all" else (args.suite,)
     given = {"kmax": args.kmax, "dmax": args.dmax, "seed": args.seed}
     reports = []
     code = 0
@@ -490,8 +482,9 @@ def cmd_verify(args) -> int:
         # suite gets them all, and run_suite refuses one it does not take
         params = given
         if args.suite == "all":
-            params = {k: v for k, v in given.items() if k in suite_parameters(name)}
-        result = run_suite(name, **params)
+            taken = verify.suite_parameters(name)
+            params = {k: v for k, v in given.items() if k in taken}
+        result = verify.run_suite(name, **params)
         if result.checks == 0:
             bounds = " ".join(
                 f"--{flag} {params[flag]}"
@@ -703,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         required=True,
-        help=f"one of {', '.join(available_suites())}, or all",
+        help=f"one of {', '.join(verify.SUITES)}, or all",
     )
     p.add_argument("--kmax", type=int, help="order grid bound (suites that take it)")
     p.add_argument("--dmax", type=int, help="degree grid bound (suites that take it)")
@@ -744,9 +737,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if has_limit:
             sys.set_int_max_str_digits(digits_limit)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from .arith import is_prime
+from .groups import GroupSpecError
 
 
 # the largest |d| the oracle folds; above it the fold is refused up front
@@ -26,7 +27,7 @@ class OracleStabilizationError(RuntimeError):
 
 def _validate_k(k: int) -> None:
     if k < 1:
-        raise ValueError(f"order is defined for k >= 1, got {k}")
+        raise GroupSpecError(f"order is defined for k >= 1, got {k}")
 
 
 def higher_order_oracle(d: int, k: int) -> int:

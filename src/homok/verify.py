@@ -21,6 +21,7 @@ from .cocyclic import Route, lattice_chains, sk1_invariants, sk1_route
 from .functions import FunctionTable, from_generator_values
 from .groups import (
     Group,
+    GroupSpecError,
     RationalResidue,
     all_abelian_groups,
     cyclic_subgroups,
@@ -479,16 +480,12 @@ SUITES = {
 }
 
 
-def available_suites() -> tuple[str, ...]:
-    return tuple(SUITES)
-
-
 def suite_parameters(name: str) -> frozenset[str]:
     """The keyword parameters (kmax, dmax, seed, ...) that a suite takes."""
     try:
         gen = SUITES[name]
     except KeyError:
-        raise ValueError(
+        raise GroupSpecError(
             f"unknown suite {name!r}; available: {', '.join(SUITES)}"
         ) from None
     return frozenset(inspect.signature(gen).parameters)
@@ -502,7 +499,7 @@ def run_suite(name: str, **params) -> SuiteResult:
     kwargs = {k: v for k, v in params.items() if v is not None}
     for k in kwargs:
         if k not in accepted:
-            raise ValueError(f"suite {name!r} does not take a {k!r} parameter")
+            raise GroupSpecError(f"suite {name!r} does not take a {k!r} parameter")
     checks = 0
     for ok, detail in SUITES[name](**kwargs):
         checks += 1

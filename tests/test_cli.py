@@ -286,6 +286,32 @@ class TestExitCodes:
             "error: degree-0 homogeneous functions take values in Z; "
             "pass --target Z\n",
         ),
+        "od-k-0": lambda tmp: (
+            ["od", "--d", "2", "--k", "0"],
+            "error: order is defined for k >= 1, got 0\n",
+        ),
+        "od-oracle-k-negative": lambda tmp: (
+            ["od", "--d", "2", "--k", "-1", "--oracle"],
+            "error: order is defined for k >= 1, got -1\n",
+        ),
+        "job-not-utf8": lambda tmp: (
+            ["transfer", "--job", f"{tmp}/latin.json"],
+            "error: job file is not JSON: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n",
+        ),
+        "job-table-too-short": lambda tmp: (
+            ["transfer", "--job", f"{tmp}/few.json"],
+            "error: table has 2 values for a group of order 3\n",
+        ),
+        "job-value-not-in-target": lambda tmp: (
+            ["transfer", "--job", f"{tmp}/outside.json"],
+            "error: (9,) is not an element of Z/9\n",
+        ),
+        "job-table-not-vanishing": lambda tmp: (
+            ["transfer", "--job", f"{tmp}/nonzero.json"],
+            "error: a nonzero-degree table must vanish at 0 "
+            "(forced by f(0) = n^d f(0))\n",
+        ),
     }
 
     @pytest.mark.parametrize("case", REFUSALS.values(), ids=REFUSALS.keys())
@@ -294,6 +320,15 @@ class TestExitCodes:
         job = {"source": "3", "target": "9", "t_values": [[0], [3], [6]]}
         (tmp_path / "nod.json").write_text(json.dumps(job))
         (tmp_path / "short.json").write_text(json.dumps({**job, "d": 1, "f_coords": [1]}))
+        (tmp_path / "latin.json").write_bytes(b"\xff{}")
+        for name, values in (
+            ("few", [[0], [3]]),
+            ("outside", [[0], [3], [9]]),
+            ("nonzero", [[3], [3], [6]]),
+        ):
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({**job, "d": 1, "t_values": values})
+            )
         argv, err = case(tmp_path)
         assert run_cli(argv, capsys) == (2, "", err)
 
@@ -790,7 +825,9 @@ class TestCache:
         path = ResultCache(str(cachedir))._path(["sk1", "3,3,3", []])
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
         os.symlink(victim, tmp)
-        assert run_cli(argv, capsys) == (0, want, "")
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (0, want)
+        assert err.count("\n") == 1 and err.startswith("warning: cache directory")
         assert victim.read_text() == "untouched"
         assert list(cachedir.iterdir()) == []
         # the skipped write left nothing behind; the next call caches
@@ -806,31 +843,7 @@ class TestCache:
         assert code == 0
         assert "caching disabled" in err
 
-    def test_directory_is_probed_once_per_process(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        probes = []
-        real = cli.tempfile.NamedTemporaryFile
-
-        def counting(*args, **kwargs):
-            probes.append(kwargs.get("dir"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli.tempfile, "NamedTemporaryFile", counting)
-        cachedir = tmp_path / "cache"
-        for spec in ("3", "9", "3,9", "5", "9"):
-            code, _, err = run_cli(
-                ["hmg", "--group", spec, "--d", "2", "--cache", str(cachedir)], capsys
-            )
-            assert (code, err) == (0, "")
-        assert probes == [str(cachedir)]
-        # a relative spelling of the same directory is the same directory
-        monkeypatch.chdir(tmp_path)
-        argv = ["gd", "--group", "7", "--d", "1", "--cache", "cache"]
-        assert run_cli(argv, capsys)[0] == 0
-        assert probes == [str(cachedir)]
-
-    def test_failed_probe_warns_on_every_call(self, tmp_path, capsys):
+    def test_failed_write_warns_on_every_call(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
         for _ in range(3):
@@ -839,22 +852,28 @@ class TestCache:
                 capsys,
             )
             assert code == 0
-            assert "caching disabled" in err
+            assert err.count("\n") == 1 and err.endswith("; caching disabled\n")
 
-    def test_directory_removed_after_its_probe(self, tmp_path, capsys, monkeypatch):
+    def test_directory_removed_between_calls_is_recreated(
+        self, tmp_path, capsys, monkeypatch
+    ):
         monkeypatch.delenv("HOMOK_CACHE_DIR", raising=False)
-        cachedir = tmp_path / "cache"
+        # the first write makes the directory, parents and all
+        cachedir = tmp_path / "a" / "cache"
         argv = ["hmg", "--group", "3,9,5", "--d", "2", "--json"]
         assert run_cli(argv + ["--cache", str(cachedir)], capsys)[0] == 0
+        assert len(list(cachedir.iterdir())) == 1
         shutil.rmtree(cachedir)
         _, want, _ = run_cli(argv, capsys)
-        # the entry is gone and the write is skipped: the answer is computed
-        assert run_cli(argv + ["--cache", str(cachedir)], capsys) == (0, want, "")
-        assert not cachedir.exists()
-        # the skipped write dropped the probe: the next call recreates the
-        # directory and stores its answer, and the one after is a hit
+        # the entry is gone: the answer is computed, and its write recreates
+        # the directory and stores it; the next call is a hit
         assert run_cli(argv + ["--cache", str(cachedir)], capsys) == (0, want, "")
         assert len(list(cachedir.iterdir())) == 1
+
+        def refuse(*args):
+            raise AssertionError("the entry was not served")
+
+        monkeypatch.setattr(cli, "graded_presentation", refuse)
         assert run_cli(argv + ["--cache", str(cachedir)], capsys) == (0, want, "")
 
     # sk1, coc and table on 3,3,3 share one cache entry, the sk1 document

@@ -13,7 +13,7 @@ from homok.groups import invariant_factors_from_orders
 
 
 def test_registry_names():
-    assert verify.available_suites() == (
+    assert tuple(verify.SUITES) == (
         "lemma211",
         "lemma212",
         "prop29",
